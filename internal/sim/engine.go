@@ -38,10 +38,17 @@ const hardLimit = int64(1) << 40
 // word per core, and packing those words into a single cache line (for ≤ 8
 // cores) makes the scan all but free, where striding full coreState structs
 // cost a host-cache miss per core per scan. Hot replay fields lead.
+//
+// owed holds the Post cycles of an access that ended at or past a RunUntil
+// limit: stepwise execution would run them as their own event at the
+// access's completion time, after the limit, so the core's next pop spends
+// them before anything else. Instructions() and busy cycles then agree with
+// stepwise execution at every RunFor boundary.
 type coreState struct {
 	task      *dag.Node
 	actions   []trace.Action
 	ip        int
+	owed      uint16
 	busy      int64
 	taskStart int64 // dispatch cycle of the current task (timeline capture)
 	rec       trace.Recorder
@@ -255,7 +262,7 @@ func (e *Engine) RunUntil(limit int64) {
 		completed := false
 		if cs.task == nil {
 			e.dispatch(c)
-		} else if ip := cs.ip; ip < len(cs.actions) {
+		} else if ip := cs.ip; ip < len(cs.actions) || cs.owed != 0 {
 			// bound is the earliest possible event time of any OTHER core:
 			// the wheel's next occupied slot, or past the window if none
 			// (cores outside the window are ≥ wheelBase+wheelSlots by the
@@ -271,8 +278,16 @@ func (e *Engine) RunUntil(limit int64) {
 			// cs.actions and e.instructions alone).
 			actions := cs.actions
 			instructions := int64(0)
-			a := actions[ip]
-			ip++
+			var a trace.Action
+			if cs.owed != 0 {
+				// Cycles owed from the last access run first, as the
+				// Compute event stepwise execution would pop here.
+				a = trace.Action{Kind: trace.Compute, N: uint32(cs.owed)}
+				cs.owed = 0
+			} else {
+				a = actions[ip]
+				ip++
+			}
 			start := t
 			var done int64
 			for {
@@ -296,6 +311,18 @@ func (e *Engine) RunUntil(limit int64) {
 						done = hier.Access(c, a.Addr, int(a.N), write, t)
 					}
 					instructions++
+					// The folded compute after the access is core-local, so
+					// it fuses like a Compute action: whenever the access
+					// ends before limit. Otherwise it is owed to the core's
+					// next pop.
+					if a.Post != 0 {
+						if done < limit {
+							done += int64(a.Post)
+							instructions += int64(a.Post)
+						} else {
+							cs.owed = a.Post
+						}
+					}
 				}
 				// Fuse the next action into this pop when doing so is
 				// provably order-identical to stepwise execution. The next

@@ -2,13 +2,16 @@ package sim
 
 // Differential testing of the optimized engine against a stepwise reference.
 //
-// RunUntil earns its speed from three semantic claims: the calendar wheel
+// RunUntil earns its speed from four semantic claims: the calendar wheel
 // pops events in exactly the stepwise (time, core-id) lexicographic order;
 // fusing an action run into one pop never reorders operations on shared
-// cache/bus state; and the pre-split AccessLine path is Access exactly. The
+// cache/bus state; applying a memory action's Post cycles inside the same
+// pop (or owing them past a limit) matches running them as their own event;
+// and the pre-split AccessLine path is Access exactly. The
 // reference implementation below keeps the simple invariants — one global
-// min-scan per event, one action per event, Hierarchy.Access for every
-// memory action, no wheel, no fusion — and the tests here drive both
+// min-scan per event, one action per event (a memory action's folded Post
+// cycles are an event of their own), Hierarchy.Access for every memory
+// action, no wheel, no fusion — and the tests here drive both
 // implementations over seeded-random DAGs, schedulers, core counts, and
 // quantum sizes, demanding identical cycles, instruction counts, cache and
 // bus statistics, and completion order.
@@ -30,7 +33,7 @@ import (
 // with the minimum next-event time (ties to the lowest core id), process
 // exactly one event, repeat. It shares dispatch/complete and the cache
 // hierarchy with the real engine — the machinery under test is only event
-// selection, action fusion, and the access fast path.
+// selection, action fusion, Post folding, and the access fast path.
 func refRunUntil(e *Engine, limit int64) {
 	for !e.Done() {
 		c := 0
@@ -49,6 +52,15 @@ func refRunUntil(e *Engine, limit int64) {
 		switch {
 		case cs.task == nil:
 			e.dispatch(c)
+		case cs.owed != 0:
+			// A memory action's Post cycles are their own event, popped at
+			// the access's completion time — the semantics of the unfolded
+			// stream, where they were a separate Compute action.
+			done := e.now + int64(cs.owed)
+			e.instructions += int64(cs.owed)
+			cs.owed = 0
+			cs.busy += done - e.now
+			e.nextAt[c] = done
 		case cs.ip < len(cs.actions):
 			a := cs.actions[cs.ip]
 			cs.ip++
@@ -59,6 +71,7 @@ func refRunUntil(e *Engine, limit int64) {
 			} else {
 				done = e.hier.Access(c, a.Addr, int(a.N), a.Kind == trace.Store, e.now)
 				e.instructions++
+				cs.owed = a.Post
 			}
 			cs.busy += done - e.now
 			e.nextAt[c] = done
@@ -216,6 +229,42 @@ func TestEngineMatchesReferenceChunked(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestEngineMatchesReferenceOwedPost stops runs between a memory access and
+// its folded Post cycles: the access completes at or past the RunFor limit,
+// so the engine owes the Post to the core's next pop while the reference
+// holds it as a pending event of its own. At every quantum boundary the two
+// must agree on the clock and on the whole result record (instructions and
+// busy cycles included), and the test insists that boundaries with owed
+// cycles actually occurred, so the path cannot go unexercised.
+func TestEngineMatchesReferenceOwedPost(t *testing.T) {
+	for _, quantum := range []int64{1, 5, 37} {
+		for _, cores := range []int{1, 3} {
+			label := fmt.Sprintf("q=%d/cores=%d", quantum, cores)
+			owedStops := 0
+			comparePair(t, label, memHeavyGraph, 5, 1, cores, 3, func(real, ref *Engine) {
+				for !real.Done() || !ref.Done() {
+					real.RunFor(quantum)
+					refRunFor(ref, quantum)
+					for i := range real.cores {
+						if real.cores[i].owed != 0 {
+							owedStops++
+						}
+					}
+					if real.Now() != ref.Now() {
+						t.Fatalf("%s: clocks diverged mid-run: real %d ref %d", label, real.Now(), ref.Now())
+					}
+					if rr, fr := real.Result(), ref.Result(); rr != fr {
+						t.Fatalf("%s: results diverged at cycle %d\nreal %+v\nref  %+v", label, real.Now(), rr, fr)
+					}
+				}
+			})
+			if owedStops == 0 {
+				t.Fatalf("%s: no quantum boundary fell between an access and its Post", label)
+			}
 		}
 	}
 }

@@ -14,6 +14,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 )
@@ -47,10 +48,18 @@ func (k Kind) String() string {
 // Action is one simulated instruction (or, for Compute, a run of N of them).
 // Memory actions carry the accessed address and size; the simulator splits
 // accesses that straddle cache lines.
+//
+// A memory action also carries Post, the ALU cycles that run right after it.
+// Recording folds the compute that follows a load or store into that access
+// instead of giving it an action slot of its own, which makes the workloads'
+// streams about a third shorter. Post sits in what would otherwise be the
+// struct's padding, so an Action stays 16 bytes. A Compute action's Post is
+// always 0.
 type Action struct {
 	Addr mem.Addr
 	N    uint32 // Compute: cycle count; Load/Store: access size in bytes
 	Kind Kind
+	Post uint16 // Load/Store: compute cycles run right after the access
 }
 
 // Instructions returns how many dynamic instructions the action represents.
@@ -58,7 +67,7 @@ func (a Action) Instructions() int64 {
 	if a.Kind == Compute {
 		return int64(a.N)
 	}
-	return 1
+	return 1 + int64(a.Post)
 }
 
 // Recorder accumulates a task's action stream. The zero value is ready to
@@ -88,14 +97,27 @@ func (r *Recorder) Detach() []Action {
 // and is invalidated by the next Reset.
 func (r *Recorder) Actions() []Action { return r.actions }
 
-// Compute records n ALU cycles, coalescing with a preceding Compute.
+// Compute records n ALU cycles. After a load or store they fold into its
+// Post; otherwise they coalesce with a preceding Compute. Cycles that would
+// overflow Post move out, together with what Post already holds, into one
+// Compute action after the access, so the compute run after an access is
+// always one replay event, whether it fits in Post or not.
 func (r *Recorder) Compute(n int) {
 	if n <= 0 {
 		return
 	}
-	if last := len(r.actions) - 1; last >= 0 && r.actions[last].Kind == Compute {
-		r.actions[last].N += uint32(n)
-		return
+	if last := len(r.actions) - 1; last >= 0 {
+		a := &r.actions[last]
+		if a.Kind == Compute {
+			a.N += uint32(n)
+			return
+		}
+		if sum := int(a.Post) + n; sum <= math.MaxUint16 {
+			a.Post = uint16(sum)
+			return
+		}
+		n += int(a.Post)
+		a.Post = 0
 	}
 	r.actions = append(r.actions, Action{Kind: Compute, N: uint32(n)})
 }
@@ -129,7 +151,7 @@ type Stats struct {
 	Instructions int64
 	Loads        int64
 	Stores       int64
-	ComputeCyc   int64
+	ComputeCyc   int64 // Compute actions' cycles plus every Post
 }
 
 // Summarize computes stream statistics.
@@ -146,6 +168,7 @@ func Summarize(actions []Action) Stats {
 		case Compute:
 			s.ComputeCyc += int64(a.N)
 		}
+		s.ComputeCyc += int64(a.Post)
 	}
 	return s
 }

@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -13,12 +16,114 @@ func TestComputeCoalescing(t *testing.T) {
 	r.Compute(4)
 	r.Load(100, 8)
 	r.Compute(1)
+	r.Compute(2)
 	acts := r.Actions()
-	if len(acts) != 3 {
-		t.Fatalf("got %d actions, want 3 (coalesced): %v", len(acts), acts)
+	want := []Action{
+		{Kind: Compute, N: 7},
+		{Kind: Load, Addr: 100, N: 8, Post: 3},
 	}
-	if acts[0].Kind != Compute || acts[0].N != 7 {
-		t.Fatalf("first action = %+v, want compute 7", acts[0])
+	if !slices.Equal(acts, want) {
+		t.Fatalf("got %+v, want %+v (leading compute coalesced, trailing folded)", acts, want)
+	}
+}
+
+func TestComputeWithoutMemoryStaysAction(t *testing.T) {
+	var r Recorder
+	r.Compute(5)
+	if acts := r.Actions(); !slices.Equal(acts, []Action{{Kind: Compute, N: 5}}) {
+		t.Fatalf("leading compute = %+v, want one compute action of 5", acts)
+	}
+}
+
+func TestPostOverflowStartsCompute(t *testing.T) {
+	var r Recorder
+	r.Store(64, 8)
+	r.Compute(math.MaxUint16 - 1)
+	r.Compute(1) // exactly fills Post
+	if acts := r.Actions(); len(acts) != 1 || acts[0].Post != math.MaxUint16 {
+		t.Fatalf("Post should hold up to %d: %+v", math.MaxUint16, acts)
+	}
+	r.Compute(1) // would pass the limit: everything moves to a Compute action
+	r.Compute(2) // which then coalesces as usual
+	want := []Action{
+		{Kind: Store, Addr: 64, N: 8},
+		{Kind: Compute, N: math.MaxUint16 + 3},
+	}
+	if acts := r.Actions(); !slices.Equal(acts, want) {
+		t.Fatalf("got %+v, want %+v", acts, want)
+	}
+}
+
+func TestActionIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Action{}); got != 16 {
+		t.Fatalf("sizeof(Action) = %d, want 16", got)
+	}
+}
+
+// unfolded records ops the way the recorder did before Post existed: every
+// compute run is a Compute action of its own, coalesced with a preceding
+// one. It is the reference the folded stream must equal in totals.
+func unfolded(ops []uint16) []Action {
+	var out []Action
+	for i, op := range ops {
+		switch n := int(op >> 2); {
+		case op&3 == 0 && n > 0:
+			if last := len(out) - 1; last >= 0 && out[last].Kind == Compute {
+				out[last].N += uint32(n)
+			} else {
+				out = append(out, Action{Kind: Compute, N: uint32(n)})
+			}
+		case op&3 == 1:
+			out = append(out, Action{Kind: Load, Addr: mem.Addr(i * 8), N: 8})
+		case op&3 == 2:
+			out = append(out, Action{Kind: Store, Addr: mem.Addr(i * 8), N: 8})
+		}
+	}
+	return out
+}
+
+// expand turns a folded stream back into the unfolded form, so the two can
+// be compared action for action.
+func expand(acts []Action) []Action {
+	var out []Action
+	for _, a := range acts {
+		post := a.Post
+		a.Post = 0
+		if last := len(out) - 1; a.Kind == Compute && last >= 0 && out[last].Kind == Compute {
+			out[last].N += a.N
+		} else {
+			out = append(out, a)
+		}
+		if post != 0 {
+			out = append(out, Action{Kind: Compute, N: uint32(post)})
+		}
+	}
+	return out
+}
+
+func TestFoldedTotalsMatchUnfolded(t *testing.T) {
+	// Each op is a kind in its low two bits (0 compute, 1 load, 2 store,
+	// 3 nothing) and a compute size above them — up to 16383 cycles, so
+	// runs of computes push Post past its limit.
+	if err := quick.Check(func(ops []uint16) bool {
+		var r Recorder
+		for i, op := range ops {
+			switch op & 3 {
+			case 0:
+				r.Compute(int(op >> 2))
+			case 1:
+				r.Load(mem.Addr(i*8), 8)
+			case 2:
+				r.Store(mem.Addr(i*8), 8)
+			}
+		}
+		ref := unfolded(ops)
+		got, want := Summarize(r.Actions()), Summarize(ref)
+		got.Actions, want.Actions = 0, 0
+		return got == want && r.Instructions() == want.Instructions &&
+			slices.Equal(expand(r.Actions()), ref)
+	}, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -59,9 +164,10 @@ func TestSummarize(t *testing.T) {
 	r.Compute(5)
 	r.Load(0, 8)
 	r.Load(8, 8)
+	r.Compute(2) // folded into the second load
 	r.Store(16, 8)
 	s := Summarize(r.Actions())
-	if s.Loads != 2 || s.Stores != 1 || s.ComputeCyc != 5 || s.Instructions != 8 || s.Actions != 4 {
+	if s.Loads != 2 || s.Stores != 1 || s.ComputeCyc != 7 || s.Instructions != 10 || s.Actions != 4 {
 		t.Fatalf("bad summary: %+v", s)
 	}
 }

@@ -44,7 +44,12 @@ func buildHashJoin(s Spec) *Instance {
 	tableKeys := trace.NewInt64s(space, "tablekeys", slots)
 	tableVals := trace.NewInt64s(space, "tablevals", slots)
 	probeKeys := trace.NewInt64s(space, "probekeys", nProbe)
-	matches := trace.NewInt64s(space, "matches", (nProbe+s.Grain-1)/s.Grain+1)
+	// One match counter per probe leaf. spawnTree halves ranges, so when
+	// nProbe/Grain is not a power of two it makes more leaves than
+	// ⌈nProbe/Grain⌉; the older ⌈nProbe/Grain⌉+1 sizing stays the floor so
+	// specs it already covered keep their addresses.
+	blocks := splitRanges(0, nProbe, s.Grain)
+	matches := trace.NewInt64s(space, "matches", max(len(blocks), (nProbe+s.Grain-1)/s.Grain+1))
 
 	rng := xprng.New(s.Seed)
 	// Build keys: unique-ish keys spread over a dense range, shuffled.
@@ -125,7 +130,6 @@ func buildHashJoin(s Spec) *Instance {
 	g.AddEdge(built, barrier)
 
 	// Probe phase: spawn tree over S blocks; per-block match counters.
-	blocks := splitRanges(0, nProbe, s.Grain)
 	blockOf := make(map[int]int, len(blocks))
 	for i, b := range blocks {
 		blockOf[b.lo] = i
@@ -165,8 +169,7 @@ func buildHashJoin(s Spec) *Instance {
 			// order may differ from the reference); membership and the
 			// total match count are.
 			var total, want int64
-			for i, b := range blocks {
-				_ = b
+			for i := range blocks {
 				total += matches.Data[i]
 			}
 			for _, k := range probeKeys.Data {

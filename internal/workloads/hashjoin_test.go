@@ -143,3 +143,24 @@ func TestSpawnTreeShape(t *testing.T) {
 		t.Fatalf("splitRanges malformed: %+v", ranges)
 	}
 }
+
+// TestHashJoinUnevenLeafCount covers probe sizes whose n/grain is not a
+// power of two. spawnTree then makes more leaves than ⌈n/grain⌉ (40960/2048
+// makes 32 leaves, not 20), and every leaf needs its own match counter.
+func TestHashJoinUnevenLeafCount(t *testing.T) {
+	for _, s := range []Spec{
+		{Name: "hashjoin", N: 40960, Grain: 2048, Seed: 1},
+		{Name: "hashjoin", N: 3000, Grain: 256, Seed: 2},
+		{Name: "hashjoin", N: 1 << 12, Grain: 300, Seed: 3},
+	} {
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if leaves, old := len(splitRanges(0, s.N, s.Grain)), (s.N+s.Grain-1)/s.Grain+1; leaves <= old {
+			t.Fatalf("%v: %d leaves fit the old %d counters; the case tests nothing", s, leaves, old)
+		}
+		for _, sched := range []string{"pdf", "ws"} {
+			runOn(t, Build(s), 2, sched)
+		}
+	}
+}

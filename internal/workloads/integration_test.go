@@ -1,12 +1,15 @@
 package workloads
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/xprng"
 )
 
 // smallSpec returns a quick-to-simulate spec for each workload.
@@ -166,5 +169,74 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	unrun := Build(smallSpec("mergesort"))
 	if err := unrun.Verify(); err == nil {
 		t.Fatal("unrun mergesort passed verification")
+	}
+}
+
+// recordInOrder builds a fresh instance of s, runs every task in order (a
+// function of the instance's graph) on a recorder, and returns each task's
+// action stream by node id. The instance must verify afterwards.
+func recordInOrder(t *testing.T, s Spec, order func(*dag.Graph) []*dag.Node) [][]trace.Action {
+	t.Helper()
+	in := Build(s)
+	in.BeginRun()
+	streams := make([][]trace.Action, in.Graph.Len())
+	var r trace.Recorder
+	for _, n := range order(in.Graph) {
+		if n.Run == nil {
+			continue
+		}
+		r.Reset()
+		n.Run(&r)
+		streams[n.ID] = slices.Clone(r.Actions())
+	}
+	if err := in.Verify(); err != nil {
+		t.Fatalf("%v: %v", s, err)
+	}
+	return streams
+}
+
+// randomTopoOrder returns a seeded random valid execution order of g: each
+// step runs a uniformly chosen ready node.
+func randomTopoOrder(g *dag.Graph, rng *xprng.PRNG) []*dag.Node {
+	pending := g.InDegrees()
+	ready := []*dag.Node{g.Root()}
+	order := make([]*dag.Node, 0, g.Len())
+	for len(ready) > 0 {
+		i := rng.Intn(len(ready))
+		n := ready[i]
+		ready[i] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		order = append(order, n)
+		for _, k := range n.Children() {
+			if pending[k.ID]--; pending[k.ID] == 0 {
+				ready = append(ready, k)
+			}
+		}
+	}
+	return order
+}
+
+// TestTaskStreamsIndependentOfOrder pins the property record-then-replay
+// rests on: a task records the same action stream whatever valid order the
+// tasks before it ran in, because DAG edges make its inputs final first.
+// Every kernel records once in 1DF order and once in a seeded random
+// topological order; each task's two streams must be identical.
+func TestTaskStreamsIndependentOfOrder(t *testing.T) {
+	for _, name := range Names() {
+		s := smallSpec(name)
+		df := recordInOrder(t, s, (*dag.Graph).OneDFOrder)
+		rnd := recordInOrder(t, s, func(g *dag.Graph) []*dag.Node {
+			order := randomTopoOrder(g, xprng.New(7))
+			if len(order) != g.Len() || slices.Equal(order, g.OneDFOrder()) {
+				t.Fatalf("%s: random order covers %d of %d nodes, or is the 1DF order", name, len(order), g.Len())
+			}
+			return order
+		})
+		for id := range df {
+			if !slices.Equal(df[id], rnd[id]) {
+				t.Fatalf("%s: task %d records %d actions in 1DF order, %d in a random order (or they differ)",
+					name, id, len(df[id]), len(rnd[id]))
+			}
+		}
 	}
 }
