@@ -77,6 +77,10 @@ func multiprogOnce(sched string, cores int, quantum int64, quick bool) ([]string
 	// B shares A's hierarchy: same L2, same bus — a context switch, not a
 	// second chip. B always runs under WS; only A's scheduler varies.
 	engB := sim.New(cfg, inB.Graph, core.ByName("ws", OverheadsOf(cfg), Seed), engA.Hierarchy())
+	// Each engine closes itself when its program finishes; these cover a
+	// panic that leaves one suspended mid-task.
+	defer engA.Close()
+	defer engB.Close()
 
 	// Warm A up into the middle of its execution, then measure a window.
 	engA.RunFor(quantum)
@@ -129,8 +133,6 @@ func multiprogOnce(sched string, cores int, quantum int64, quick bool) ([]string
 	ra.Workload = specA.Name
 	rb := engB.Result()
 	rb.Workload = specB.Name
-	engA.Recycle()
-	engB.Recycle()
 	// Both programs verified and all results extracted: only now does
 	// exclusive ownership end, so a concurrent arm's Acquire can never
 	// reset an instance this arm's engines still reference.

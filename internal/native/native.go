@@ -15,9 +15,9 @@
 // this is the production counterpart.
 //
 // Task bodies must be race-free under parallel execution of DAG-independent
-// nodes (true for every workload in this repository except histogram, whose
-// colliding bucket increments are only safe under the simulator's
-// serialized record-then-replay execution).
+// nodes (true for every workload in this repository except histogram and
+// hashjoin's build phase, whose colliding updates to shared data are only
+// safe because the simulator runs one task closure at a time).
 package native
 
 import (

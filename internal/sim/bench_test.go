@@ -25,18 +25,13 @@ func flatGraph(w int, leaf func(i int) dag.RunFunc) *dag.Graph {
 	return g
 }
 
-// benchReplay times exactly the replay loop: the graph and engine are built
-// (and recorder pools warmed) outside the timer, then one RunUntil executes
-// the b.N-task graph. ns/op and allocs/op are therefore per task.
+// benchReplay times exactly the replay loop: the graph and engine (with its
+// recording buffers and coroutines) are built outside the timer, then one
+// RunUntil executes the b.N-task graph. ns/op and allocs/op are therefore
+// per task.
 func benchReplay(b *testing.B, leaf func(i int) dag.RunFunc) {
 	b.Helper()
 	cfg := testConfig(8)
-	// Warm the shared recorder-buffer pool so the first tasks of the timed
-	// engine adopt grown buffers instead of allocating them.
-	warm := New(cfg, flatGraph(8, leaf), core.NewPDF(overheadsOf(cfg)), nil)
-	warm.RunUntil(hardLimit)
-	warm.Recycle()
-
 	g := flatGraph(b.N, leaf)
 	e := New(cfg, g, core.NewPDF(overheadsOf(cfg)), nil)
 	b.ReportAllocs()
@@ -46,7 +41,6 @@ func benchReplay(b *testing.B, leaf func(i int) dag.RunFunc) {
 	if !e.Done() {
 		b.Fatal("graph incomplete")
 	}
-	e.Recycle()
 }
 
 // BenchmarkEngineStep measures replay throughput per task for the two
@@ -78,8 +72,8 @@ func BenchmarkEngineStep(b *testing.B) {
 }
 
 // BenchmarkDispatchAlloc pins the allocation contract of the dispatch and
-// replay hot path: with recorder buffers pooled and all engine state
-// preallocated, replaying a task must not allocate — allocs/op reports 0
+// replay hot path: with recording buffers, coroutines and all other engine
+// state preallocated by New, replaying a task must not allocate — allocs/op reports 0
 // at any realistic benchtime (the remaining constant is a handful of
 // scheduler-queue doublings, amortized over b.N tasks).
 func BenchmarkDispatchAlloc(b *testing.B) {
@@ -96,7 +90,7 @@ func BenchmarkDispatchAlloc(b *testing.B) {
 }
 
 // TestDispatchZeroAlloc is the deterministic form of BenchmarkDispatchAlloc:
-// after pool warmup, the whole replay of a 3000-task graph must stay under
+// once New has returned, the whole replay of a 3000-task graph must stay under
 // one allocation per ~75 tasks (the slack covers scheduler-queue doublings,
 // which grow logarithmically, not per task).
 func TestDispatchZeroAlloc(t *testing.T) {
@@ -112,10 +106,6 @@ func TestDispatchZeroAlloc(t *testing.T) {
 		}
 	}
 
-	warm := New(cfg, flatGraph(8, leaf), core.NewPDF(overheadsOf(cfg)), nil)
-	warm.RunUntil(hardLimit)
-	warm.Recycle()
-
 	const tasks = 3000
 	e := New(cfg, flatGraph(tasks, leaf), core.NewPDF(overheadsOf(cfg)), nil)
 
@@ -127,7 +117,6 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	if !e.Done() {
 		t.Fatal("graph incomplete")
 	}
-	e.Recycle()
 	allocs := after.Mallocs - before.Mallocs
 	if allocs > tasks/75 {
 		t.Fatalf("replaying %d tasks allocated %d times — the dispatch hot path is allocating per task", tasks, allocs)

@@ -9,17 +9,24 @@
 // the host Go runtime entirely: the paper's "threads" are simulated tasks,
 // never goroutines.
 //
-// Task execution uses record-then-replay (see internal/trace): at dispatch,
-// the task's closure runs the real algorithm and records its reference
-// stream; the engine then replays the stream action by action, charging
-// cache and bus latencies. DAG edges guarantee input data is final before a
-// task records, so recording at dispatch is exact.
+// Task execution uses record-then-replay (see internal/trace). Each core
+// runs its tasks' closures as a coroutine that records into one fixed
+// buffer of chunkActions actions: at dispatch the closure starts running
+// the real algorithm and records until the buffer fills; the engine replays
+// that chunk action by action, charging cache and bus latencies, and only
+// then resumes the closure for the next chunk. The concatenated chunks are
+// the task's whole stream, so replay is exactly what recording the whole
+// task at dispatch would give, while a core's recording memory stays at one
+// chunk however long its task. DAG edges guarantee input data is final
+// before a task starts, so recording is exact as long as a task's writes to
+// data a concurrent task also touches obey the kernel contract in
+// internal/workloads.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -33,6 +40,14 @@ import (
 // no experiment in the suite comes within orders of magnitude of it.
 const hardLimit = int64(1) << 40
 
+// chunkActions is the size of each core's recording buffer: 4096 actions,
+// 64 KiB. A task records at most this far ahead of its replay.
+const chunkActions = 4096
+
+// chunkSize is the buffer size New gives each core. It is chunkActions
+// except in tests, which shrink it to move chunk boundaries around.
+var chunkSize = chunkActions
+
 // coreState is one simulated processor. Its next-event time lives in the
 // engine's dense nextAt array, not here: the event-selection scan reads one
 // word per core, and packing those words into a single cache line (for ≤ 8
@@ -44,14 +59,66 @@ const hardLimit = int64(1) << 40
 // access's completion time, after the limit, so the core's next pop spends
 // them before anything else. Instructions() and busy cycles then agree with
 // stepwise execution at every RunFor boundary.
+//
+// actions is the chunk being replayed. more reports that the task filled
+// it and has more to record: once the chunk is spent, next resumes the
+// task's closure for the following chunk.
 type coreState struct {
 	task      *dag.Node
 	actions   []trace.Action
 	ip        int
 	owed      uint16
+	more      bool
 	busy      int64
 	taskStart int64 // dispatch cycle of the current task (timeline capture)
-	rec       trace.Recorder
+
+	// The core's recording coroutine (see record): next resumes it, stop
+	// ends it. rec spills into yield; stopped marks the unwind of a task
+	// suspended mid-record.
+	next    func() ([]trace.Action, bool, bool)
+	stop    func()
+	yield   func([]trace.Action, bool) bool
+	rec     trace.Recorder
+	stopped bool
+}
+
+// errStopped unwinds a task closure suspended mid-record when its engine is
+// closed.
+var errStopped = new(int)
+
+// record is the body of a core's recording coroutine. Each pull
+// runs cs.task's closure into the chunked Recorder cs.rec; every full chunk
+// is yielded with more=true, and the task's last (possibly partial) chunk
+// with more=false. The closure only runs while the engine waits in next,
+// so the engine stays single-threaded in effect. Its recorder and buffer
+// come from New, so only the first resume allocates (iter.Pull2's yield
+// closure).
+func (cs *coreState) record(yield func([]trace.Action, bool) bool) {
+	cs.yield = yield
+	defer cs.unwind()
+	for {
+		cs.rec.Reset()
+		cs.task.Run(&cs.rec)
+		if !yield(cs.rec.Actions(), false) {
+			return
+		}
+	}
+}
+
+// spill hands a full chunk to the engine and waits until it is replayed.
+func (cs *coreState) spill(chunk []trace.Action) {
+	if !cs.yield(chunk, true) {
+		cs.stopped = true
+		panic(errStopped)
+	}
+}
+
+// unwind recovers the stop path's panic only: a panic from the task itself
+// propagates to the engine's caller through next.
+func (cs *coreState) unwind() {
+	if cs.stopped {
+		recover()
+	}
 }
 
 // Engine drives one program (one DAG) over a hierarchy. Multiprogramming
@@ -131,31 +198,28 @@ func New(cfg machine.Config, g *dag.Graph, sched core.Scheduler, hier *cache.Hie
 		pending:  g.InDegrees(),
 		doneByDF: make([]bool, g.Len()),
 	}
+	// One slab holds every core's recording buffer, and the coroutines
+	// are made here rather than at first dispatch, so dispatch never
+	// allocates.
+	bufs := make([]trace.Action, cfg.Cores*chunkSize)
 	for i := range e.cores {
-		if b, ok := recBufPool.Get().(*[]trace.Action); ok {
-			e.cores[i].rec.Adopt(*b)
-		}
+		cs := &e.cores[i]
+		buf := bufs[i*chunkSize : (i+1)*chunkSize : (i+1)*chunkSize]
+		cs.rec = trace.NewRecorder(buf, cs.spill)
+		cs.next, cs.stop = iter.Pull2(cs.record)
 	}
 	sched.Reset(cfg.Cores, g)
 	sched.Push(0, g.Root())
 	return e
 }
 
-// recBufPool recycles trace.Recorder buffers across engines: a cold sweep
-// builds one engine per cell, and without pooling every cell re-grows each
-// core's action buffer from zero. Buffer capacity never affects simulation
-// output, so pool nondeterminism is invisible.
-var recBufPool sync.Pool
-
-// Recycle returns the engine's recorder buffers to the shared pool. Call it
-// once the engine is finished (after Result); the engine remains usable,
-// its recorders simply re-grow from empty.
-func (e *Engine) Recycle() {
+// Close stops the engine's recording coroutines, unwinding any task
+// suspended mid-record. Run, and a RunUntil that completes the DAG, close
+// the engine themselves; call Close for an engine abandoned before it
+// finished. Close is idempotent, and a closed engine must not run again.
+func (e *Engine) Close() {
 	for i := range e.cores {
-		b := e.cores[i].rec.Detach()
-		if cap(b) > 0 {
-			recBufPool.Put(&b)
-		}
+		e.cores[i].stop()
 	}
 }
 
@@ -173,6 +237,9 @@ func (e *Engine) Instructions() int64 { return e.instructions }
 
 // Run executes the whole DAG and returns the result record.
 func (e *Engine) Run() metrics.Run {
+	// A panicking task closure leaves the other cores' coroutines parked;
+	// closing on the way out stops them without touching the panic value.
+	defer e.Close()
 	e.RunUntil(hardLimit)
 	if !e.Done() {
 		panic(fmt.Sprintf("sim: %d of %d nodes incomplete at hard limit — scheduler lost work",
@@ -182,7 +249,6 @@ func (e *Engine) Run() metrics.Run {
 	simRuns.Add(1)
 	simCycles.Add(e.now)
 	simInstrs.Add(e.instructions)
-	e.Recycle()
 	return r
 }
 
@@ -354,6 +420,13 @@ func (e *Engine) RunUntil(limit int64) {
 			cs.busy += done - start
 			e.instructions += instructions
 			nextAt[c] = done
+		} else if cs.more {
+			// The chunk is spent and the task has more to record: resume
+			// it for the next chunk and re-queue the core at this same
+			// cycle (the zero-time pattern of complete→dispatch), so its
+			// next action pops exactly when stepwise replay of the whole
+			// stream would pop it.
+			cs.pull()
 		} else {
 			e.complete(c)
 			completed = true
@@ -367,6 +440,7 @@ func (e *Engine) RunUntil(limit int64) {
 			e.wheelOcc |= 1 << d
 		}
 		if completed && e.Done() {
+			e.Close()
 			return
 		}
 	}
@@ -391,13 +465,20 @@ func (e *Engine) dispatch(c int) {
 	}
 	cs.task = n
 	cs.taskStart = e.now
-	cs.ip = 0
-	cs.rec.Reset()
 	if n.Run != nil {
-		n.Run(&cs.rec)
+		cs.pull()
 	}
-	cs.actions = cs.rec.Actions()
 	e.nextAt[c] = e.now + cost + e.cfg.SpawnOverhead
+}
+
+// pull resumes the core's task until it has recorded its next chunk.
+func (cs *coreState) pull() {
+	var ok bool
+	cs.actions, cs.more, ok = cs.next()
+	if !ok {
+		panic("sim: engine ran after Close")
+	}
+	cs.ip = 0
 }
 
 // complete finishes core c's task at e.now, releasing children.
@@ -406,6 +487,7 @@ func (e *Engine) complete(c int) {
 	n := cs.task
 	cs.task = nil
 	cs.actions = nil
+	cs.ip = 0
 	e.nextAt[c] = e.now
 
 	e.done++

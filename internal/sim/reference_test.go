@@ -2,15 +2,17 @@ package sim
 
 // Differential testing of the optimized engine against a stepwise reference.
 //
-// RunUntil earns its speed from four semantic claims: the calendar wheel
+// RunUntil earns its speed from five semantic claims: the calendar wheel
 // pops events in exactly the stepwise (time, core-id) lexicographic order;
 // fusing an action run into one pop never reorders operations on shared
 // cache/bus state; applying a memory action's Post cycles inside the same
 // pop (or owing them past a limit) matches running them as their own event;
-// and the pre-split AccessLine path is Access exactly. The
-// reference implementation below keeps the simple invariants — one global
-// min-scan per event, one action per event (a memory action's folded Post
-// cycles are an event of their own), Hierarchy.Access for every memory
+// recording a task in chunks, each pulled when the last is spent, replays
+// the stream recording the whole task at dispatch would; and the pre-split
+// AccessLine path is Access exactly. The reference implementation below
+// keeps the simple invariants — the whole task recorded at dispatch, one
+// global min-scan per event, one action per event (a memory action's folded
+// Post cycles are an event of their own), Hierarchy.Access for every memory
 // action, no wheel, no fusion — and the tests here drive both
 // implementations over seeded-random DAGs, schedulers, core counts, and
 // quantum sizes, demanding identical cycles, instruction counts, cache and
@@ -31,10 +33,18 @@ import (
 
 // refRunUntil advances e with stepwise reference semantics: select the core
 // with the minimum next-event time (ties to the lowest core id), process
-// exactly one event, repeat. It shares dispatch/complete and the cache
-// hierarchy with the real engine — the machinery under test is only event
-// selection, action fusion, Post folding, and the access fast path.
+// exactly one event, repeat. It shares complete, the scheduler and the cache
+// hierarchy with the real engine, but dispatches through refDispatch, which
+// records each task whole — the machinery under test is chunked recording,
+// event selection, action fusion, Post folding, and the access fast path.
+// The engine's own recording coroutines go unused; the reference closes
+// them once the graph is done.
 func refRunUntil(e *Engine, limit int64) {
+	defer func() {
+		if e.Done() {
+			e.Close()
+		}
+	}()
 	for !e.Done() {
 		c := 0
 		min := e.nextAt[0]
@@ -51,7 +61,7 @@ func refRunUntil(e *Engine, limit int64) {
 		cs := &e.cores[c]
 		switch {
 		case cs.task == nil:
-			e.dispatch(c)
+			refDispatch(e, c)
 		case cs.owed != 0:
 			// A memory action's Post cycles are their own event, popped at
 			// the access's completion time — the semantics of the unfolded
@@ -79,6 +89,29 @@ func refRunUntil(e *Engine, limit int64) {
 			e.complete(c)
 		}
 	}
+}
+
+// refDispatch is dispatch with whole-task recording: the task's closure
+// runs to completion into a fresh unbounded Recorder, and the core replays
+// the whole stream as one chunk.
+func refDispatch(e *Engine, c int) {
+	cs := &e.cores[c]
+	n, cost := e.sched.Pop(core.CoreID(c))
+	e.dispatchCyc += cost
+	if n == nil {
+		wait := max(cost, e.cfg.IdleRetry)
+		e.idleCycles += wait
+		e.nextAt[c] = e.now + wait
+		return
+	}
+	cs.task = n
+	cs.taskStart = e.now
+	var rec trace.Recorder
+	if n.Run != nil {
+		n.Run(&rec)
+	}
+	cs.actions, cs.ip, cs.more = rec.Actions(), 0, false
+	e.nextAt[c] = e.now + cost + e.cfg.SpawnOverhead
 }
 
 func refRunFor(e *Engine, delta int64) { refRunUntil(e, e.now+delta) }
@@ -186,8 +219,14 @@ func comparePair(t *testing.T, label string, mkGraph func(*xprng.PRNG, int) *dag
 	}
 }
 
+// refChunkSizes are the recording chunk sizes the differential tests run
+// the real engine at: one action (a pull before every action), a size that
+// splits the test graphs' tasks at odd offsets, and the default, which
+// leaves them whole.
+var refChunkSizes = []int{1, 7, chunkActions}
+
 // TestEngineMatchesReference drives full runs over the cross product of
-// graph shapes, schedulers, core counts, and seeds.
+// graph shapes, schedulers, core counts, seeds, and chunk sizes.
 func TestEngineMatchesReference(t *testing.T) {
 	graphs := map[string]func(*xprng.PRNG, int) *dag.Graph{
 		"random":   randomGraph,
@@ -197,11 +236,15 @@ func TestEngineMatchesReference(t *testing.T) {
 		for schedIdx := range schedNames {
 			for _, cores := range []int{1, 2, 3, 8} {
 				for seed := uint64(1); seed <= 3; seed++ {
-					label := fmt.Sprintf("%s/%s/cores=%d/seed=%d", gname, schedNames[schedIdx], cores, seed)
-					comparePair(t, label, mk, seed, schedIdx, cores, 5, func(real, ref *Engine) {
-						real.RunUntil(hardLimit)
-						refRun(ref)
-					})
+					for _, size := range refChunkSizes {
+						label := fmt.Sprintf("%s/%s/cores=%d/seed=%d/chunk=%d", gname, schedNames[schedIdx], cores, seed, size)
+						withChunkSize(size, func() {
+							comparePair(t, label, mk, seed, schedIdx, cores, 5, func(real, ref *Engine) {
+								real.RunUntil(hardLimit)
+								refRun(ref)
+							})
+						})
+					}
 				}
 			}
 		}
@@ -210,25 +253,29 @@ func TestEngineMatchesReference(t *testing.T) {
 
 // TestEngineMatchesReferenceChunked re-runs the differential with RunFor
 // quanta, comparing clock and instruction counts at every quantum boundary —
-// the regression class where a fused or batched event slips past the limit
-// that stepwise execution would have honored.
+// the regression class where a fused or batched event, or a chunk pull,
+// slips past the limit that stepwise execution would have honored.
 func TestEngineMatchesReferenceChunked(t *testing.T) {
 	for _, quantum := range []int64{1, 7, 137, 4099} {
 		for schedIdx := range schedNames {
-			label := fmt.Sprintf("%s/q=%d", schedNames[schedIdx], quantum)
-			comparePair(t, label, memHeavyGraph, 11, schedIdx, 4, 4, func(real, ref *Engine) {
-				for !real.Done() || !ref.Done() {
-					real.RunFor(quantum)
-					refRunFor(ref, quantum)
-					if real.Now() != ref.Now() {
-						t.Fatalf("%s: clocks diverged mid-run: real %d ref %d", label, real.Now(), ref.Now())
-					}
-					if real.Instructions() != ref.Instructions() {
-						t.Fatalf("%s: instructions diverged at cycle %d: real %d ref %d",
-							label, real.Now(), real.Instructions(), ref.Instructions())
-					}
-				}
-			})
+			for _, size := range refChunkSizes {
+				label := fmt.Sprintf("%s/q=%d/chunk=%d", schedNames[schedIdx], quantum, size)
+				withChunkSize(size, func() {
+					comparePair(t, label, memHeavyGraph, 11, schedIdx, 4, 4, func(real, ref *Engine) {
+						for !real.Done() || !ref.Done() {
+							real.RunFor(quantum)
+							refRunFor(ref, quantum)
+							if real.Now() != ref.Now() {
+								t.Fatalf("%s: clocks diverged mid-run: real %d ref %d", label, real.Now(), ref.Now())
+							}
+							if real.Instructions() != ref.Instructions() {
+								t.Fatalf("%s: instructions diverged at cycle %d: real %d ref %d",
+									label, real.Now(), real.Instructions(), ref.Instructions())
+							}
+						}
+					})
+				})
+			}
 		}
 	}
 }

@@ -34,6 +34,17 @@ func (a Int64s) Set(r *Recorder, i int, v int64) {
 	a.Data[i] = v
 }
 
+// Add adds d to element i, recording the load and the store of a
+// read-modify-write. The data is updated before anything is recorded: a
+// chunked Recorder may suspend the task inside Load or Store, and a
+// concurrent task incrementing the same element in between must see this
+// one's update, not lose it.
+func (a Int64s) Add(r *Recorder, i int, d int64) {
+	a.Data[i] += d
+	r.Load(a.Addr(i), 8)
+	r.Store(a.Addr(i), 8)
+}
+
 // Slice returns a view of elements [lo, hi) sharing the same backing data
 // and address mapping.
 func (a Int64s) Slice(lo, hi int) Int64s {

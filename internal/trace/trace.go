@@ -3,13 +3,17 @@
 //
 // A task in this reproduction is a short segment of real computation (a run
 // of merging, a block multiply, a sparse row batch). When the scheduler
-// dispatches a task, the task's Go closure executes the genuine algorithm on
-// genuine data while recording its memory references and compute work into a
-// Recorder. The simulator then replays the recorded stream cycle-by-cycle
-// through the cache hierarchy. This record-then-replay design keeps the
-// simulated interleaving deterministic while preserving authentic reference
-// patterns — the property the paper's constructive-cache-sharing results
-// depend on.
+// dispatches a task, the task's Go closure starts executing the genuine
+// algorithm on genuine data while recording its memory references and
+// compute work into a Recorder. The simulator replays the recorded stream
+// cycle-by-cycle through the cache hierarchy, one fixed-size chunk at a
+// time: the closure is suspended whenever its Recorder's buffer fills and
+// resumed when the simulator has replayed that chunk. The concatenated
+// chunks are the task's whole stream, so chunking changes no simulated
+// cycle, and recording memory stays bounded however long the task runs.
+// Recording ahead of replay keeps the simulated interleaving deterministic
+// while preserving authentic reference patterns — the property the paper's
+// constructive-cache-sharing results depend on.
 package trace
 
 import (
@@ -71,31 +75,49 @@ func (a Action) Instructions() int64 {
 }
 
 // Recorder accumulates a task's action stream. The zero value is ready to
-// use. Recorders are reused across tasks via Reset to avoid allocation in
-// the simulator's hot path.
+// use and grows without bound; Recorders are reused across tasks via Reset
+// to avoid allocation.
+//
+// A Recorder made by NewRecorder is chunked instead: it records into a
+// fixed buffer and, when the buffer is full and another action is about to
+// be appended, hands the full buffer to its spill function and starts over
+// in the same buffer. Spilling happens only before an append, and folding
+// (Compute into a preceding access's Post, or into a preceding Compute)
+// only ever touches the last action, so every spilled action is final: the
+// concatenation of the spilled chunks and the final Actions is exactly the
+// stream an unbounded Recorder would hold.
 type Recorder struct {
 	actions []Action
+	spill   func([]Action)
+}
+
+// NewRecorder returns a chunked Recorder that records into buf's capacity
+// and passes each full chunk to spill. The chunk is only valid during the
+// call: once spill returns, the Recorder overwrites it.
+func NewRecorder(buf []Action, spill func([]Action)) Recorder {
+	return Recorder{actions: buf[:0], spill: spill}
 }
 
 // Reset clears the recorder, retaining capacity.
 func (r *Recorder) Reset() { r.actions = r.actions[:0] }
 
-// Adopt hands the recorder a previously-detached buffer to record into,
-// so buffer capacity can be recycled across simulation runs instead of
-// re-grown from zero by each one. Contents are discarded.
-func (r *Recorder) Adopt(buf []Action) { r.actions = buf[:0] }
-
-// Detach surrenders the recorder's buffer to the caller (for pooling) and
-// leaves the recorder empty but usable.
-func (r *Recorder) Detach() []Action {
-	b := r.actions
-	r.actions = nil
-	return b
-}
-
-// Actions returns the recorded stream. The slice is owned by the recorder
-// and is invalidated by the next Reset.
+// Actions returns the recorded stream (for a chunked Recorder, the actions
+// recorded since the last spill). The slice is owned by the recorder and is
+// invalidated by the next Reset or spill.
 func (r *Recorder) Actions() []Action { return r.actions }
+
+// full runs when the buffer has no room for another action: a chunked
+// Recorder spills it and starts over, an unbounded one lets append grow
+// it. It is kept out of line so that the common path of Load, Store and
+// Compute stays a length check and an append.
+//
+//go:noinline
+func (r *Recorder) full() {
+	if r.spill != nil {
+		r.spill(r.actions)
+		r.actions = r.actions[:0]
+	}
+}
 
 // Compute records n ALU cycles. After a load or store they fold into its
 // Post; otherwise they coalesce with a preceding Compute. Cycles that would
@@ -119,16 +141,25 @@ func (r *Recorder) Compute(n int) {
 		n += int(a.Post)
 		a.Post = 0
 	}
+	if len(r.actions) == cap(r.actions) {
+		r.full()
+	}
 	r.actions = append(r.actions, Action{Kind: Compute, N: uint32(n)})
 }
 
 // Load records a read of size bytes at addr.
 func (r *Recorder) Load(addr mem.Addr, size int) {
+	if len(r.actions) == cap(r.actions) {
+		r.full()
+	}
 	r.actions = append(r.actions, Action{Kind: Load, Addr: addr, N: uint32(size)})
 }
 
 // Store records a write of size bytes at addr.
 func (r *Recorder) Store(addr mem.Addr, size int) {
+	if len(r.actions) == cap(r.actions) {
+		r.full()
+	}
 	r.actions = append(r.actions, Action{Kind: Store, Addr: addr, N: uint32(size)})
 }
 

@@ -127,6 +127,41 @@ func TestFoldedTotalsMatchUnfolded(t *testing.T) {
 	}
 }
 
+// TestChunkedMatchesUnbounded: a chunked Recorder's spilled chunks plus its
+// final Actions concatenate to exactly the stream an unbounded Recorder
+// records, at chunk sizes that put boundaries after every action, and with
+// computes long enough to overflow Post across a boundary. Every spilled
+// chunk is full.
+func TestChunkedMatchesUnbounded(t *testing.T) {
+	for _, size := range []int{1, 2, 3, 7} {
+		if err := quick.Check(func(ops []uint16) bool {
+			var whole Recorder
+			var got []Action
+			ok := true
+			chunked := NewRecorder(make([]Action, size), func(c []Action) {
+				ok = ok && len(c) == size
+				got = append(got, c...)
+			})
+			for i, op := range ops {
+				for _, r := range []*Recorder{&whole, &chunked} {
+					switch op & 3 {
+					case 0:
+						r.Compute(int(op >> 2))
+					case 1:
+						r.Load(mem.Addr(i*8), 8)
+					case 2:
+						r.Store(mem.Addr(i*8), 8)
+					}
+				}
+			}
+			got = append(got, chunked.Actions()...)
+			return ok && slices.Equal(got, whole.Actions())
+		}, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("chunk size %d: %v", size, err)
+		}
+	}
+}
+
 func TestComputeZeroIgnored(t *testing.T) {
 	var r Recorder
 	r.Compute(0)
@@ -187,6 +222,33 @@ func TestInt64sRoundTrip(t *testing.T) {
 	s := Summarize(r.Actions())
 	if s.Loads != 16 || s.Stores != 16 {
 		t.Fatalf("trace mismatch: %+v", s)
+	}
+}
+
+// TestInt64sAdd: Add records the load and store that Get then Set would,
+// and its update is already in the data whenever the recorder spills.
+func TestInt64sAdd(t *testing.T) {
+	sp := mem.NewSpace(0)
+	a := NewInt64s(sp, "a", 4)
+	a.Data[2] = 40
+	var got []Action
+	var seen []int64
+	r := NewRecorder(make([]Action, 1), func(c []Action) {
+		got = append(got, c...)
+		seen = append(seen, a.Data[2])
+	})
+	r.Compute(1) // fills the one-action buffer: the load and store both spill
+	a.Add(&r, 2, 2)
+	got = append(got, r.Actions()...)
+
+	var want Recorder
+	want.Compute(1)
+	a.Set(&want, 2, a.Get(&want, 2))
+	if !slices.Equal(got, want.Actions()) {
+		t.Fatalf("Add recorded %+v, want %+v", got, want.Actions())
+	}
+	if a.Data[2] != 42 || !slices.Equal(seen, []int64{42, 42}) {
+		t.Fatalf("a[2] = %d, at the spills %v; want 42 throughout", a.Data[2], seen)
 	}
 }
 

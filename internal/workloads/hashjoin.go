@@ -107,22 +107,35 @@ func buildHashJoin(s Spec) *Instance {
 	g := dag.New()
 	root := g.AddNode("start", nil)
 
-	// Build phase: spawn tree over R blocks. Inserts into the shared table
-	// are commutative under the simulator's serialized record-then-replay
-	// execution (like histogram's increments); slot contents are validated
-	// against the host reference afterwards.
+	// Build phase: spawn tree over R blocks, inserting into the shared
+	// table. Concurrent build tasks probe the same slots, so by the kernel
+	// contract (package doc) each task makes all its inserts on the host
+	// table before it records anything; slot contents are validated
+	// against the host reference afterwards. Recording then walks each
+	// key's probe sequence again: the slots from the key's home to its own
+	// slot were occupied when it was inserted and stay so (nothing is ever
+	// removed), so the walk meets exactly the slots the insert probed, and
+	// the loads and stores match an insert loop that recorded as it went.
 	built := spawnTree(g, root, 0, nBuild, s.Grain, func(lo, hi int) *dag.Node {
 		return g.AddNode(fmt.Sprintf("build[%d:%d]", lo, hi), func(r *trace.Recorder) {
+			for _, k := range buildKeys.Data[lo:hi] {
+				h := hashKey(k) & mask
+				for tableKeys.Data[h] != 0 {
+					h = (h + 1) & mask
+				}
+				tableKeys.Data[h] = k
+				tableVals.Data[h] = k ^ 0x5a5a
+			}
 			for i := lo; i < hi; i++ {
 				k := buildKeys.Get(r, i)
 				h := hashKey(k) & mask
 				r.Compute(4)
-				for tableKeys.Get(r, int(h)) != 0 {
+				for tableKeys.Get(r, int(h)) != k {
 					r.Compute(1)
 					h = (h + 1) & mask
 				}
-				tableKeys.Set(r, int(h), k)
-				tableVals.Set(r, int(h), k^0x5a5a)
+				r.Store(tableKeys.Addr(int(h)), 8)
+				r.Store(tableVals.Addr(int(h)), 8)
 			}
 		})
 	})

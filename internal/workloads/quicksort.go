@@ -53,7 +53,10 @@ func buildQuicksort(s Spec) *Instance {
 	g := dag.New()
 	root := g.AddNode("start", nil)
 	sink := g.AddNode("done", nil)
-	qb := &qsortBuilder{g: g, sink: sink, grain: s.Grain, a: a, b: b, dryA: dryA, dryB: dryB}
+	qb := &qsortBuilder{g: g, sink: sink, grain: s.Grain, a: a, b: b, dryA: dryA, dryB: dryB,
+		// The dry run's recordings are never read: a small chunked
+		// recorder that drops each full chunk keeps them from growing.
+		throwaway: trace.NewRecorder(make([]trace.Action, 1024), func([]trace.Action) {})}
 	qb.build(root, 0, s.N, true)
 
 	return &Instance{
@@ -102,7 +105,6 @@ func (q *qsortBuilder) build(parent *dag.Node, lo, hi int, inA bool) {
 	}
 
 	// Dry-run the partition to learn the split.
-	q.throwaway.Reset()
 	pivot := choosePivot(&q.throwaway, drySrc, lo, hi)
 	counts := splitRanges(lo, hi, q.grain)
 	below := make([]int, len(counts))

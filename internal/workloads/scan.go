@@ -151,8 +151,9 @@ func buildHistogram(s Spec) *Instance {
 			for i := lo; i < hi; i++ {
 				k := keys.Get(r, i)
 				r.Compute(2)
-				c := buckets.Get(r, int(k))
-				buckets.Set(r, int(k), c+1)
+				// Concurrent blocks share buckets: Add, not Get then Set
+				// (see the kernel contract in the package doc).
+				buckets.Add(r, int(k), 1)
 			}
 		})
 	})

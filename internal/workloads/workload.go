@@ -10,6 +10,25 @@
 // algorithm on live data while recording simulated memory references, so
 // the reference streams the cache hierarchy sees are authentic.
 //
+// # Kernel contract
+//
+// The simulator does not run a task's closure to completion at dispatch.
+// It records the stream in fixed-size chunks, suspending the closure each
+// time its buffer fills and resuming it once the chunk is replayed (see
+// internal/sim), so the closures of concurrent tasks interleave at chunk
+// boundaries. DAG edges make a task's inputs final before it starts, but
+// nothing orders two concurrent tasks. Hence the rule for a kernel:
+//
+//	A task's writes to data that a concurrent task also touches must
+//	land before it records anything, or be a single Int64s.Add.
+//
+// A write made later could be seen, or lost, by the other task depending
+// on where the chunk boundaries fall, and with it the data, the addresses
+// that depend on the data, and Verify. Histogram's bucket increments use
+// Add, which updates the data before it records the load and store; each
+// hashjoin build task makes all its inserts into the shared table on the
+// host data first, then records the same probe loads and stores.
+//
 // # Instance lifecycle
 //
 // An Instance separates immutable identity from mutable run state. The
