@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/machine"
-	"repro/internal/native"
 	"repro/internal/rcache"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -239,24 +238,5 @@ func BenchmarkDAGBuild(b *testing.B) {
 	spec := workloads.Spec{Name: "mergesort", N: 1 << 16, Grain: 1024, Seed: 3}
 	for i := 0; i < b.N; i++ {
 		benchSink = workloads.Build(spec)
-	}
-}
-
-// BenchmarkNativeRuntime runs the goroutine-backed executors on a real
-// workload (not a measured claim — a usability check that the adoptable
-// runtime keeps up).
-func BenchmarkNativeRuntime(b *testing.B) {
-	for _, pol := range []native.Policy{native.WorkStealing, native.ParallelDepthFirst} {
-		b.Run(pol.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				in := workloads.Build(workloads.Spec{Name: "mergesort", N: 1 << 15, Grain: 512, Seed: 3})
-				if err := native.Run(in.Graph, 8, pol); err != nil {
-					b.Fatal(err)
-				}
-				if err := in.Verify(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -33,12 +33,12 @@
 // (override grids keep the per-core-count default config name for exactly
 // this reason).
 //
-// -parallel N (default GOMAXPROCS) runs independent simulation cells — and,
-// for -exp all, distinct experiment ids — on N concurrent workers. The two
-// levels of fan-out share one process-wide budget of N workers, so -parallel
-// never oversubscribes. Every cell is deterministic and results are always
-// emitted in canonical order, so the output is byte-identical at any
-// parallelism level; -parallel 1 forces the serial path.
+// -parallel N (default GOMAXPROCS) runs independent simulation cells on N
+// concurrent workers. The requested experiments run as one plan: every cell
+// they need, each distinct cell once, in one fan-out of N workers. Every
+// cell is deterministic and tables are emitted in canonical order as soon
+// as each experiment's cells are done, so the output is byte-identical at
+// any parallelism level; -parallel 1 forces the serial path.
 //
 // Caching. Every cell is a deterministic function of its identity (machine
 // config, workload spec, scheduler, seed, quick), so its result can be
@@ -49,8 +49,8 @@
 //	                 repeat of the same sweep simulates no cells — only
 //	                 t4-multiprog, whose engines share state mid-run and so
 //	                 bypass the cell cache, still simulates). Within one
-//	                 run, cells repeated across experiments are deduplicated
-//	                 in memory even without -cache.
+//	                 run, a cell repeated across experiments simulates once
+//	                 even without -cache.
 //	-cache-remote URL[,URL...]  layer one or more shared cached servers
 //	                 (cmd/cached) behind the local tiers: cells missing
 //	                 locally are fetched from the fleet (and filled into
@@ -61,8 +61,8 @@
 //	-cache-replicas K  write each cell to its shard and K distinct ring
 //	                 successors, and read through the same set before
 //	                 declaring a miss, so one lost shard costs no warmth.
-//	-cache-stats     print hit/miss/inflight-dedup counters to stderr on
-//	                 exit, plus the workload instance pool's hit/evict line
+//	-cache-stats     print lookup/hit/miss counters to stderr on exit,
+//	                 plus the workload instance pool's hit/evict line
 //	                 (cells that do simulate share one built instance per
 //	                 spec across scheduler arms; see internal/workloads.Pool)
 //	-cache-readonly  consult DIR/URL but never write either (CI-friendly)
@@ -149,8 +149,7 @@ func main() {
 	exp.Parallelism = *parallel
 	runner.SetBudget(*parallel)
 
-	// The in-memory tier is always on: cells repeated across experiments
-	// within this run deduplicate for free (output is byte-identical either
+	// The in-memory tier is always on (output is byte-identical either
 	// way). -cache DIR adds the persistent layer.
 	store, err := cli.Open()
 	if err != nil {
@@ -194,18 +193,9 @@ func main() {
 		ids = []string{*id}
 	}
 
-	// Distinct experiment ids fan out across the same worker budget; the
-	// stream yields results in canonical id order as soon as each id and
-	// its predecessors finish, so tables print incrementally but always in
-	// the order a serial run would produce.
-	jobs := make([]runner.Job[*exp.Result], len(ids))
-	for i, e := range ids {
-		jobs[i] = func() (*exp.Result, error) { return exp.Run(e, *quick) }
-	}
-	err = runner.Stream(*parallel, jobs, func(i int, res *exp.Result, err error) error {
-		if err != nil {
-			return fmt.Errorf("%s: %v", ids[i], err)
-		}
+	// One plan for every requested id: tables print incrementally, but
+	// always in the order a serial run would produce.
+	err = exp.RunAll(ids, *quick, func(res *exp.Result) error {
 		for _, t := range res.Tables {
 			if *csv {
 				fmt.Print(t.CSV())

@@ -7,10 +7,8 @@
 // non-empty queue it finds" — which tends to hand thieves large, old
 // subcomputations and keeps steals rare.
 //
-// Deque here is the sequential version used inside the deterministic
-// simulator, where all scheduler state is driven from one goroutine. The
-// concurrent, mutex-guarded version for the native runtime lives in
-// internal/native.
+// Deque is used inside the deterministic simulator, where all scheduler
+// state is driven from one goroutine, so it needs no locking.
 package deque
 
 // Deque is a growable double-ended queue. The zero value is empty and ready

@@ -19,7 +19,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rcache"
 	"repro/internal/report"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -28,22 +27,22 @@ import (
 // selection). Published numbers in EXPERIMENTS.md use this seed.
 const Seed = 20060730 // SPAA'06 opening day
 
-// Parallelism is the number of simulation cells run concurrently by the
-// experiments (1 = serial). Each cell is deterministic and independent, and
-// the runner preserves submit order, so results are identical at every
-// setting; only wall time changes. cmd/sweep's -parallel flag sets this.
+// Parallelism is the number of simulation cells a plan runs concurrently
+// (1 = serial). Each cell is deterministic and independent, and the runner
+// preserves submit order, so results are identical at every setting; only
+// wall time changes. cmd/sweep's -parallel flag sets this.
 var Parallelism = runtime.GOMAXPROCS(0)
 
 // Cache, when non-nil, memoizes simulation cells by their content address
-// (config + spec + scheduler + Seed + quick) through runCells. Because every
-// cell is a deterministic function of that identity, a cached Run is byte-
-// for-byte the record a fresh simulation would produce, so experiment output
-// is identical with the cache off, cold, or warm. Set it (like Parallelism)
+// (config + spec + scheduler + Seed + quick) through runCellTraced. Because
+// every cell is a deterministic function of that identity, a cached Run is
+// byte-for-byte the record a fresh simulation would produce, so experiment
+// output is identical with the cache off, cold, or warm. Set it (like Parallelism)
 // before running experiments; cmd/sweep wires it to the -cache flags.
 var Cache *rcache.Store
 
-// Tracer, when non-nil, records one obs span per simulation cell run through
-// runCell: wall time split into cache-lookup / pool-acquire / build / reset /
+// Tracer, when non-nil, records one obs span per simulation cell a plan
+// runs: wall time split into cache-lookup / pool-acquire / build / reset /
 // simulate / store phases, plus the resolving outcome. The tracer only
 // observes — results and stdout are byte-identical with it on or off
 // (TestTraceByteIdentical) — so cmd/sweep can enable it per run via
@@ -61,43 +60,25 @@ var InstancePool = workloads.DefaultPool
 
 // A cell names one independent simulation: a workload instance on a machine
 // configuration under a scheduler. Experiments enumerate their cells up
-// front and submit the batch to the runner instead of looping over RunOne.
+// front and a plan runs them. cell is comparable — every field of Config
+// and Spec is a scalar — so a plan deduplicates on the value itself.
 type cell struct {
 	cfg   machine.Config
 	spec  workloads.Spec
 	sched string
 }
 
-// runCells executes cells across Parallelism workers, returning runs in
-// cell order (the runner guarantees submit-order delivery, so output is
-// byte-identical to a serial loop). quick is part of each cell's cache
-// identity: published (full) and quick tables never share entries even
-// where their shrunken parameters happen to collide.
-func runCells(quick bool, cells []cell) ([]metrics.Run, error) {
-	jobs := make([]runner.Job[metrics.Run], len(cells))
-	for i, c := range cells {
-		jobs[i] = func() (metrics.Run, error) { return runCell(c, quick) }
-	}
-	return runner.Map(Parallelism, jobs)
-}
-
-// runCell simulates one cell, consulting the injected cache when present.
-// Concurrent requests for the same key — e.g. fig1-misses and fig1-speedup
-// racing to the same mergesort cells under `sweep -exp all` — simulate once;
-// the cache's singleflight layer parks the latecomer on the first result.
+// runCellTraced simulates one cell, consulting the injected cache when
+// present. quick is part of the cell's cache identity: published (full) and
+// quick tables never share entries even where their shrunken parameters
+// happen to collide. tr records the cell's span: the registry path passes
+// the package-level Tracer, while the job service (internal/jobs) hands
+// every grid its own per-job tracer so one service process can attribute
+// spans to submissions.
 //
 // The cell runs under pprof labels naming its (workload, config, sched)
 // identity, so a CPU profile taken over a sweep (`sweep -cpuprofile`)
-// attributes samples to cells, and under a Tracer span (when tracing is on)
-// timing the execution phases.
-func runCell(c cell, quick bool) (metrics.Run, error) {
-	return runCellTraced(c, quick, Tracer)
-}
-
-// runCellTraced is runCell with an explicit tracer: the registry path
-// records spans on the package-level Tracer, while the job service
-// (internal/jobs) hands every grid its own per-job tracer so one service
-// process can attribute spans to submissions.
+// attributes samples to cells.
 func runCellTraced(c cell, quick bool, tr *obs.Tracer) (r metrics.Run, err error) {
 	sp := tr.StartSpan(c.spec.String(), c.cfg.Name, c.sched, quick)
 	defer sp.Finish()
@@ -135,7 +116,7 @@ func OverheadsOf(cfg machine.Config) core.Overheads {
 // RunOne acquires an instance of spec (from InstancePool when enabled,
 // freshly built otherwise) and simulates it on cfg under the named
 // scheduler, verifying functional correctness. This is the uncached compute
-// path; experiment cells go through runCells, which layers the optional
+// path; experiment cells go through a plan, which layers the optional
 // Cache on top.
 func RunOne(cfg machine.Config, spec workloads.Spec, sched string) (metrics.Run, error) {
 	return RunOneSeeded(cfg, spec, sched, Seed)
@@ -179,33 +160,36 @@ type Result struct {
 
 // An experiment produces a Result. quick mode shrinks problem sizes by ~8x
 // so the whole suite runs inside `go test`; published numbers use full mode.
-// Most experiments are declarative: grid builds the scenario Grid for the
-// requested mode and RunGrid executes it. Only experiments whose shape is
-// not a pure (workload x config x scheduler) product keep a bespoke run
-// function: t4-multiprog time-slices two engines over one shared hierarchy
-// (cells are not independent) and a5-premature analyzes DAG shape outside
-// any simulation cell.
+// steps returns the experiment's part for a mode: the steps it needs and
+// the projection of their results. Most experiments are declarative grids
+// (fromGrid). t4-multiprog time-slices two engines over one shared
+// hierarchy, so its two arms are coarse steps rather than cells, and
+// a5-premature projects a DAG shape analysis alongside its cells.
 type experiment struct {
-	id   string
-	desc string
-	run  func(quick bool) (*Result, error)
-	grid func(quick bool) *grid.Grid
+	id    string
+	desc  string
+	steps func(quick bool) (part, error)
+}
+
+// fromGrid makes a grid builder an experiment's steps.
+func fromGrid(build func(quick bool) *grid.Grid) func(quick bool) (part, error) {
+	return func(quick bool) (part, error) { return gridPart(build(quick)) }
 }
 
 var registry = []experiment{
-	{id: "fig1-misses", desc: "Figure 1 (left): mergesort L2 misses per 1000 instructions vs cores", grid: gridFig1Misses},
-	{id: "fig1-speedup", desc: "Figure 1 (right): mergesort speedup over 1 core vs cores", grid: gridFig1Speedup},
-	{id: "t1-dc", desc: "Finding 1: divide-and-conquer class, PDF vs WS at 16/32 cores", grid: gridT1DC},
-	{id: "t1-irregular", desc: "Finding 1: bandwidth-limited irregular class, PDF vs WS", grid: gridT1Irregular},
-	{id: "t2-neutral", desc: "Finding 2: limited-reuse and compute-bound classes, PDF ~ WS", grid: gridT2Neutral},
-	{id: "t3-power", desc: "Power-down: runtime vs fraction of L2 ways powered off", grid: gridT3Power},
-	{id: "t4-multiprog", desc: "Multiprogramming: L2 survival across context switches", run: runT4Multiprog},
-	{id: "t5-coarse", desc: "Finding 3: coarse-grained SMP-style threading loses the PDF advantage", grid: gridT5Coarse},
-	{id: "a1-grain", desc: "Ablation: task granularity sweep", grid: gridA1Grain},
-	{id: "a2-l2size", desc: "Ablation: L2 capacity sweep at 16 cores", grid: gridA2L2Size},
-	{id: "a3-bandwidth", desc: "Ablation: off-chip bandwidth sweep at 16 cores", grid: gridA3Bandwidth},
-	{id: "a4-stealpolicy", desc: "Ablation: scheduler policy variants", grid: gridA4Policies},
-	{id: "a5-premature", desc: "Premature nodes: the SPAA'04 working-set bound, measured", run: runA5Premature},
+	{id: "fig1-misses", desc: "Figure 1 (left): mergesort L2 misses per 1000 instructions vs cores", steps: fromGrid(gridFig1Misses)},
+	{id: "fig1-speedup", desc: "Figure 1 (right): mergesort speedup over 1 core vs cores", steps: fromGrid(gridFig1Speedup)},
+	{id: "t1-dc", desc: "Finding 1: divide-and-conquer class, PDF vs WS at 16/32 cores", steps: fromGrid(gridT1DC)},
+	{id: "t1-irregular", desc: "Finding 1: bandwidth-limited irregular class, PDF vs WS", steps: fromGrid(gridT1Irregular)},
+	{id: "t2-neutral", desc: "Finding 2: limited-reuse and compute-bound classes, PDF ~ WS", steps: fromGrid(gridT2Neutral)},
+	{id: "t3-power", desc: "Power-down: runtime vs fraction of L2 ways powered off", steps: fromGrid(gridT3Power)},
+	{id: "t4-multiprog", desc: "Multiprogramming: L2 survival across context switches", steps: partT4Multiprog},
+	{id: "t5-coarse", desc: "Finding 3: coarse-grained SMP-style threading loses the PDF advantage", steps: fromGrid(gridT5Coarse)},
+	{id: "a1-grain", desc: "Ablation: task granularity sweep", steps: fromGrid(gridA1Grain)},
+	{id: "a2-l2size", desc: "Ablation: L2 capacity sweep at 16 cores", steps: fromGrid(gridA2L2Size)},
+	{id: "a3-bandwidth", desc: "Ablation: off-chip bandwidth sweep at 16 cores", steps: fromGrid(gridA3Bandwidth)},
+	{id: "a4-stealpolicy", desc: "Ablation: scheduler policy variants", steps: fromGrid(gridA4Policies)},
+	{id: "a5-premature", desc: "Premature nodes: the SPAA'04 working-set bound, measured", steps: partA5Premature},
 }
 
 // IDs lists experiment ids in canonical order.
@@ -219,43 +203,66 @@ func IDs() []string {
 
 // Describe returns the one-line description of an experiment id.
 func Describe(id string) string {
-	for _, e := range registry {
-		if e.id == id {
-			return e.desc
-		}
-	}
-	return ""
+	e, _ := lookup(id)
+	return e.desc
 }
 
 // Run executes the experiment with the given id.
 func Run(id string, quick bool) (*Result, error) {
+	var res *Result
+	if err := RunAll([]string{id}, quick, func(r *Result) error { res = r; return nil }); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// RunAll executes the experiments ids as one plan: every step they need,
+// each distinct cell once, runs in one fan-out over Parallelism workers.
+// yield is called once per experiment, in the order of ids, as soon as the
+// steps that experiment needs have completed. The first failing step (in
+// plan order) stops the plan, and its error is prefixed with the id of the
+// experiment that needs it; an error from yield is returned as is.
+func RunAll(ids []string, quick bool, yield func(*Result) error) error {
+	parts := make([]part, len(ids))
+	for i, id := range ids {
+		e, ok := lookup(id)
+		if !ok {
+			return fmt.Errorf("exp: unknown experiment %q (known: %v)", id, IDs())
+		}
+		p, err := e.steps(quick)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		parts[i] = p
+	}
+	return newPlan(parts).run(context.Background(), quick, Tracer, nil, yield)
+}
+
+func lookup(id string) (experiment, bool) {
 	for _, e := range registry {
 		if e.id == id {
-			if e.grid != nil {
-				return RunGrid(e.grid(quick), quick)
-			}
-			return e.run(quick)
+			return e, true
 		}
 	}
-	return nil, fmt.Errorf("exp: unknown experiment %q (known: %v)", id, IDs())
+	return experiment{}, false
 }
 
 // RunGrid executes a declarative scenario grid: its cells are enumerated in
-// the grid's canonical order and flow through the same budgeted runner,
-// instance pool, and content-addressed cache path every registry experiment
-// uses — then the grid projects its table from the results. quick is part of
-// each cell's cache identity exactly as for registry experiments;
-// user-authored grids always run with quick=false (their sizes are
-// explicit), which also lets them share warm cells with full-size registry
-// sweeps and cmpsim.
+// the grid's canonical order and run as a one-grid plan through the same
+// runner, instance pool, and content-addressed cache path every registry
+// experiment uses — then the grid projects its table from the results.
+// quick is part of each cell's cache identity exactly as for registry
+// experiments; user-authored grids always run with quick=false (their sizes
+// are explicit), which also lets them share warm cells with full-size
+// registry sweeps and cmpsim.
 func RunGrid(g *grid.Grid, quick bool) (*Result, error) {
 	return RunGridStream(context.Background(), g, quick, Tracer, nil)
 }
 
 // RunGridStream is RunGrid for long-running callers (the sweepd job
-// service): identical execution and results — the same cells in the same
-// canonical order through the same runner/pool/cache path, so the projected
-// tables are byte-identical to RunGrid's — plus three service affordances:
+// service): identical execution and results — the same plan through the
+// same runner/pool/cache path, so the projected tables are byte-identical
+// to RunGrid's — plus three service affordances:
 //
 //   - ctx cancels between cells: in-flight cells complete (a simulation is
 //     never abandoned half-observed), unstarted cells are skipped, and the
@@ -263,52 +270,36 @@ func RunGrid(g *grid.Grid, quick bool) (*Result, error) {
 //   - tr scopes spans to this call instead of the package-level Tracer, so a
 //     service process can attribute spans per submission. Pass Tracer (or
 //     nil) to keep the CLI behavior.
-//   - progress, when non-nil, is called after each cell completes in
-//     canonical order with (done, total) — done is strictly increasing, so
-//     callers can derive percent-complete without locking. It is invoked on
-//     the calling goroutine's yield path and must not block.
+//   - progress, when non-nil, is called after each step of the plan
+//     completes, in canonical order, with (done, total): total is the
+//     grid's cell count, and done counts the grid cells settled so far — a
+//     grid that repeats a point (cores=2,2) runs it once and settles both
+//     cells with it. done is strictly increasing and ends at total, so
+//     callers can derive percent-complete without locking. It is invoked
+//     on the calling goroutine's yield path and must not block.
 func RunGridStream(ctx context.Context, g *grid.Grid, quick bool, tr *obs.Tracer, progress func(done, total int)) (*Result, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	gcells := g.Cells()
-	n := len(gcells)
-	cells := make([]cell, n)
-	for i, c := range gcells {
-		cells[i] = cell{cfg: c.Config, spec: c.Spec, sched: c.Sched}
-	}
-	jobs := make([]runner.Job[metrics.Run], n)
-	for i, c := range cells {
-		jobs[i] = func() (metrics.Run, error) {
-			// Checked at claim time: a cancelled grid stops starting cells
-			// immediately instead of waiting for the yield path to notice.
-			if err := ctx.Err(); err != nil {
-				return metrics.Run{}, err
-			}
-			return runCellTraced(c, quick, tr)
-		}
-	}
-	runs := make([]metrics.Run, n)
-	done := 0
-	err := runner.Stream(Parallelism, jobs, func(i int, v metrics.Run, err error) error {
-		if err != nil {
-			return err
-		}
-		runs[i] = v
-		done++
-		if progress != nil {
-			progress(done, n)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", g.ID, err)
-	}
-	t, err := g.Project(runs)
+	p, err := gridPart(g)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: g.ID, Tables: []*report.Table{t}, Runs: runs}, nil
+	pl := newPlan([]part{p})
+	var delivered func(int)
+	if progress != nil {
+		settles := make([]int, len(pl.steps))
+		for _, i := range pl.at[0] {
+			settles[i]++
+		}
+		done, total := 0, len(p.cells)
+		delivered = func(i int) {
+			done += settles[i]
+			progress(done, total)
+		}
+	}
+	var res *Result
+	if err := pl.run(ctx, quick, tr, delivered, func(r *Result) error { res = r; return nil }); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // ratio returns a/b, or 0 when b is 0 — the guard every derived table

@@ -5,12 +5,11 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
-// runT4Multiprog reproduces the paper's multiprogramming observation: "the
+// partT4Multiprog reproduces the paper's multiprogramming observation: "the
 // PDF version is also less of a cache hog and its smaller working set is
 // more likely to remain in the cache across context switches."
 //
@@ -22,45 +21,43 @@ import (
 // right after resuming. Lower occupancy, higher survival, and a smaller
 // resume spike are all direct consequences of PDF's smaller working set.
 //
-// This experiment does not decompose into runner cells: within one arm the
+// This experiment does not decompose into cells: within one arm the
 // interleaved RunFor steps of engines A and B share one Hierarchy, so each
 // scheduler arm is a single stateful sequence. The two arms, however, are
-// fully independent — each owns its own Hierarchy pair and engines — so they
-// fan out as two coarse jobs on the shared worker budget, with rows emitted
-// in canonical (pdf, ws) order regardless of which arm finishes first.
-func runT4Multiprog(quick bool) (*Result, error) {
+// fully independent — each owns its own Hierarchy pair and engines — so
+// they are two coarse steps of the plan, with rows projected in canonical
+// (pdf, ws) order regardless of which arm finishes first.
+func partT4Multiprog(quick bool) (part, error) {
 	cores := 8
 	quantum := int64(2_000_000)
 	if quick {
 		quantum = 500_000
 	}
-
-	t := report.New("Multiprogramming: mergesort time-sliced with a streaming scan (8 cores)",
-		"sched", "L2 lines held at switch", "survival after B %", "pre-switch MPKI", "resume-window MPKI", "spike x", "refill misses")
-	t.Note = "paper: PDF hogs less cache and retains its working set across context switches"
-	res := &Result{ID: "t4-multiprog", Tables: []*report.Table{t}}
-
 	type arm struct {
 		row  []string
 		runs []metrics.Run
 	}
 	scheds := []string{"pdf", "ws"}
-	jobs := make([]runner.Job[arm], len(scheds))
+	coarse := make([]func() (any, error), len(scheds))
 	for i, sched := range scheds {
-		jobs[i] = func() (arm, error) {
+		coarse[i] = func() (any, error) {
 			row, runs, err := multiprogOnce(sched, cores, quantum, quick)
 			return arm{row, runs}, err
 		}
 	}
-	arms, err := runner.Map(Parallelism, jobs)
-	if err != nil {
-		return nil, err
+	project := func(_ []metrics.Run, arms []any) (*Result, error) {
+		t := report.New("Multiprogramming: mergesort time-sliced with a streaming scan (8 cores)",
+			"sched", "L2 lines held at switch", "survival after B %", "pre-switch MPKI", "resume-window MPKI", "spike x", "refill misses")
+		t.Note = "paper: PDF hogs less cache and retains its working set across context switches"
+		res := &Result{ID: "t4-multiprog", Tables: []*report.Table{t}}
+		for _, v := range arms {
+			a := v.(arm)
+			t.Rows = append(t.Rows, a.row)
+			res.Runs = append(res.Runs, a.runs...)
+		}
+		return res, nil
 	}
-	for _, a := range arms {
-		t.Rows = append(t.Rows, a.row)
-		res.Runs = append(res.Runs, a.runs...)
-	}
-	return res, nil
+	return part{id: "t4-multiprog", coarse: coarse, project: project}, nil
 }
 
 func multiprogOnce(sched string, cores int, quantum int64, quick bool) ([]string, []metrics.Run, error) {

@@ -5,11 +5,12 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/machine"
+	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
 
-// runA5Premature measures the quantity underneath the paper's headline
+// partA5Premature measures the quantity underneath the paper's headline
 // claim. Blelloch & Gibbons (SPAA 2004) bound PDF's aggregate working set
 // by the sequential working set plus the footprint of the *premature*
 // nodes — tasks executed before their sequential turn — and prove PDF keeps
@@ -20,21 +21,9 @@ import (
 // Expected shape: PDF's high-water stays a small multiple of P (far below
 // P·D); WS's is orders of magnitude larger and tracks the dataset, not P —
 // which is exactly why its working set grows with the core count.
-func runA5Premature(quick bool) (*Result, error) {
+func partA5Premature(quick bool) (part, error) {
 	n := sizing(1<<18, quick)
 	spec := workloads.Spec{Name: "mergesort", N: n, Grain: 2048, Seed: Seed}
-	// Acquire (not Build): the analysis only reads the graph, and releasing
-	// the untouched instance seeds the pool for this experiment's own cells.
-	in := InstancePool.Acquire(spec)
-	shape := dag.Analyze(in.Graph)
-	InstancePool.Release(in)
-
-	t := report.New(
-		fmt.Sprintf("Premature nodes (working-set theorem): mergesort, %d tasks, depth D=%d", shape.Nodes, shape.Depth),
-		"cores", "P*D bound", "pdf premature", "ws premature", "ws/pdf")
-	t.Note = "SPAA'04: PDF keeps O(P*D) premature nodes; the aggregate working set is sequential + their footprint"
-	res := &Result{ID: "a5-premature", Tables: []*report.Table{t}}
-
 	coreCounts := []int{2, 4, 8, 16}
 	if quick {
 		coreCounts = []int{2, 8}
@@ -43,18 +32,27 @@ func runA5Premature(quick bool) (*Result, error) {
 	for _, cores := range coreCounts {
 		cells = append(cells, pairCells(machine.Default(cores), spec)...)
 	}
-	runs, err := runCells(quick, cells)
-	if err != nil {
-		return nil, fmt.Errorf("a5-premature: %w", err)
+	project := func(runs []metrics.Run, _ []any) (*Result, error) {
+		// Acquire (not Build): the analysis only reads the graph, and on a
+		// cold run the pool holds the instance the cells just released.
+		in := InstancePool.Acquire(spec)
+		shape := dag.Analyze(in.Graph)
+		InstancePool.Release(in)
+
+		t := report.New(
+			fmt.Sprintf("Premature nodes (working-set theorem): mergesort, %d tasks, depth D=%d", shape.Nodes, shape.Depth),
+			"cores", "P*D bound", "pdf premature", "ws premature", "ws/pdf")
+		t.Note = "SPAA'04: PDF keeps O(P*D) premature nodes; the aggregate working set is sequential + their footprint"
+		res := &Result{ID: "a5-premature", Tables: []*report.Table{t}, Runs: runs}
+		for i := 0; i < len(cells); i += 2 {
+			p, w := runs[i], runs[i+1]
+			cores := cells[i].cfg.Cores
+			t.AddRow(cores, cores*shape.Depth, p.MaxPremature, w.MaxPremature,
+				ratio(float64(w.MaxPremature), float64(max(p.MaxPremature, 1))))
+		}
+		return res, nil
 	}
-	for i := 0; i < len(cells); i += 2 {
-		p, w := runs[i], runs[i+1]
-		cores := cells[i].cfg.Cores
-		t.AddRow(cores, cores*shape.Depth, p.MaxPremature, w.MaxPremature,
-			ratio(float64(w.MaxPremature), float64(max(p.MaxPremature, 1))))
-		res.Runs = append(res.Runs, p, w)
-	}
-	return res, nil
+	return part{id: "a5-premature", cells: cells, project: project}, nil
 }
 
 func max(a, b int) int {

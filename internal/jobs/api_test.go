@@ -232,6 +232,20 @@ func TestSubmitPollResult(t *testing.T) {
 	}
 }
 
+// TestRepeatedPointCompletes: a grid that repeats a point (cores=2,2) runs
+// the point once, yet its job still reports every grid cell done.
+func TestRepeatedPointCompletes(t *testing.T) {
+	m, api := newTestAPI(t, Config{})
+	rec := postJob(t, api, `{"workload":["scan"],"n":[4096],"cores":[2,2],"sched":["pdf","ws"]}`)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit code = %d (body %q)", rec.Code, rec.Body.String())
+	}
+	fin := waitTerminal(t, m, decodeStatus(t, rec).ID)
+	if fin.State != StateDone || fin.CellsTotal != 4 || fin.CellsDone != fin.CellsTotal || fin.Percent != 100 {
+		t.Fatalf("final status %+v: want done with cells_done == cells_total == 4", fin)
+	}
+}
+
 func TestUnknownJob404(t *testing.T) {
 	_, api := newTestAPI(t, Config{})
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/result", "/v1/jobs/nope/events", "/v1/jobs/nope/trace"} {

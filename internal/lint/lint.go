@@ -20,9 +20,9 @@
 //   - fpcomplete: every Fingerprint method must reference every field of its
 //     receiver struct, turning the reflection tests' runtime guarantee into
 //     a vet-time diagnostic that names the missing field.
-//   - tokenhold: flag blocking waits on the worker-budget path (and nested
+//   - tokenhold: flag blocking waits on the worker-pool path (and nested
 //     runner.Stream/Map re-entry or goroutine launches inside worker
-//     callbacks) that would park a budget token, the idle-core bug family
+//     callbacks) that would park a pool worker, the idle-core bug family
 //     ROADMAP tracks.
 //
 // A finding is suppressed by an audited annotation on the offending line or
@@ -117,10 +117,9 @@ var DetPackages = []string{
 	"repro/internal/machine",
 }
 
-// TokenPackages lists the packages whose non-test code executes while worker
-// budget tokens are held (or parks goroutines that hold them): the runner
-// itself, and rcache, whose singleflight waiters run on worker-callback
-// goroutines. tokenhold flags blocking waits here. Overridable for tests.
+// TokenPackages lists the packages whose non-test code executes on pool
+// workers: the runner itself, and rcache, whose Do runs inside worker
+// callbacks. tokenhold flags blocking waits here. Overridable for tests.
 var TokenPackages = []string{
 	"repro/internal/runner",
 	"repro/internal/rcache",

@@ -1,14 +1,14 @@
 // Package tokenfanout exercises tokenhold's worker-callback rule against the
 // real repro/internal/runner API: function literals passed to Stream/Map are
 // worker callbacks, and re-entering the pool or launching goroutines from
-// inside one idles or escapes the worker budget. The rule applies in every
+// inside one idles or escapes the pool's workers. The rule applies in every
 // package — this one is deliberately NOT in TokenPackages.
 package tokenfanout
 
 import "repro/internal/runner"
 
-// Re-entry from a job closure: the closure's goroutine holds a budget token
-// while the nested fan-out waits.
+// Re-entry from a job closure: the closure's pool worker idles while the
+// nested fan-out waits.
 func nestedMap(jobs []runner.Job[int]) ([][]int, error) {
 	return runner.Map(4, []runner.Job[[]int]{
 		func() ([]int, error) {

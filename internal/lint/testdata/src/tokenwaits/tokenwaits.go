@@ -1,20 +1,16 @@
 // Package tokenwaits exercises tokenhold's blocking-wait rule. The harness
-// lists this package in TokenPackages: code here runs while worker-budget
-// tokens are held, so parking the goroutine parks a token.
+// lists this package in TokenPackages: code here may run on pool workers,
+// so parking the goroutine parks a worker.
 package tokenwaits
 
-import (
-	"sync"
-
-	"repro/internal/runner"
-)
+import "sync"
 
 func recv(ch chan int) int {
-	return <-ch // want `blocking channel receive on the worker-budget path`
+	return <-ch // want `blocking channel receive on the worker-pool path`
 }
 
 func race(a, b chan int) {
-	select { // want `select without default blocks on the worker-budget path`
+	select { // want `select without default blocks on the worker-pool path`
 	case a <- 1:
 	case b <- 2:
 	}
@@ -31,47 +27,19 @@ func poll(a chan int) bool {
 }
 
 func wait(wg *sync.WaitGroup) {
-	wg.Wait() // want `sync wg\.Wait blocks on the worker-budget path`
+	wg.Wait() // want `sync wg\.Wait blocks on the worker-pool path`
 }
 
 func condWait(c *sync.Cond) {
-	c.Wait() // want `sync c\.Wait blocks on the worker-budget path`
+	c.Wait() // want `sync c\.Wait blocks on the worker-pool path`
 }
 
-// The audited-debt pattern: a wait that provably holds no token carries a
-// //repro:allow with the reason. The harness runs with unused-allow
-// reporting on, so the annotation must really be consumed.
+// The audited-debt pattern: a wait that provably runs on no pool worker
+// carries a //repro:allow with the reason. The harness runs with
+// unused-allow reporting on, so the annotation must really be consumed.
 func drain(wg *sync.WaitGroup) {
-	//repro:allow tokenhold shutdown drain after every worker has exited; no budget token is held here
+	//repro:allow tokenhold shutdown drain after every worker has exited; this goroutine is not a pool worker
 	wg.Wait()
-}
-
-// A wait wrapped in a function literal passed to runner.Lend is the lend
-// protocol itself: the token is released before the wait runs and
-// reacquired after, so the parked goroutine holds nothing. Clean, no allow
-// needed.
-func lent(ch chan int) (v int) {
-	runner.Lend(func() { v = <-ch })
-	return v
-}
-
-// All wait forms are sanctioned inside the lent literal, including nested
-// closures within it.
-func lentAll(wg *sync.WaitGroup, a, b chan int) {
-	runner.Lend(func() {
-		wg.Wait()
-		select {
-		case <-a:
-		case <-b:
-		}
-		func() { <-a }()
-	})
-}
-
-// Only the function-literal argument is sanctioned: a wait evaluated while
-// building Lend's arguments runs before Lend is entered, token still held.
-func lentArgEval(ch chan int, waits []func()) {
-	runner.Lend(waits[<-ch]) // want `blocking channel receive on the worker-budget path`
 }
 
 // Wait methods from other packages (not sync) are not flagged.

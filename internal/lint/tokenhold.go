@@ -6,62 +6,34 @@ import (
 	"go/types"
 )
 
-// TokenholdAnalyzer polices the worker-budget contract of internal/runner:
-// budget tokens are only ever try-acquired, and a goroutine that holds one
-// is supposed to be simulating, not waiting. A blocking wait on the
-// worker-budget path parks a token along with the goroutine — cores idle
-// fleet-wide while runnable cells queue — which is exactly the bug family
-// ROADMAP's "worker-budget idle spots" item tracks.
+// TokenholdAnalyzer polices the worker-pool contract of internal/runner:
+// a pool worker is supposed to be simulating, not waiting. A blocking wait
+// on a pool worker parks the worker along with the goroutine: a core idles
+// while runnable cells queue.
 //
 // Two rules:
 //
 //   - In every package: a function literal passed to runner.Stream or
 //     runner.Map (a worker callback) must not re-enter Stream/Map — the
-//     nested fan-out waits while the callback's token sits idle — and must
-//     not launch goroutines, which escape the budget entirely.
-//   - In TokenPackages (the runner itself, plus rcache, whose singleflight
-//     waiters run on worker goroutines): flag blocking waits — channel
-//     receives, select without default, sync.WaitGroup.Wait and
-//     sync.Cond.Wait.
+//     nested fan-out waits while the callback's pool worker sits idle — and
+//     must not launch goroutines, which escape the worker budget entirely.
+//   - In TokenPackages (the runner itself, plus rcache, whose Do runs on
+//     pool workers): flag blocking waits — channel receives, select without
+//     default, sync.WaitGroup.Wait and sync.Cond.Wait.
 //
-// A blocking wait wrapped in a function literal passed to runner.Lend is
-// sanctioned: Lend is the repository's lend-the-token protocol — it
-// releases the caller's budget token for the duration of the wait and
-// reacquires one after — so the parked goroutine provably holds no token.
-// The former debt sites (the singleflight waiter in rcache.Store.DoSpan and
-// the nested Stream caller draining in runner.streamWorkers) now route
-// through Lend; the remaining //repro:allow tokenhold annotations cover
-// only waits that are bounded and token-free by construction.
+// The //repro:allow tokenhold annotations cover only waits that are bounded
+// or that run on a goroutine that is never a pool worker.
 var TokenholdAnalyzer = &Analyzer{
 	Name: "tokenhold",
-	Doc:  "flag blocking waits and nested fan-outs that idle worker-budget tokens",
+	Doc:  "flag blocking waits and nested fan-outs that idle pool workers",
 	Run:  runTokenhold,
 }
 
 func runTokenhold(pass *Pass) error {
 	inTokenPkg := inList(pass.Pkg.Path(), TokenPackages)
 	for _, f := range pass.nonTestFiles() {
-		// First pass: collect the body spans of function literals handed to
-		// runner.Lend. Waits inside them are the lend protocol itself — the
-		// token has been released before the wait runs — so the blocking-
-		// wait rule must not fire there.
-		var lent []lentSpan
-		if inTokenPkg {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || !isRunnerLend(pass, call.Fun) {
-					return true
-				}
-				for _, arg := range call.Args {
-					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-						lent = append(lent, lentSpan{lit.Pos(), lit.End()})
-					}
-				}
-				return true
-			})
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if inTokenPkg && !inLentSpan(lent, n) {
+			if inTokenPkg {
 				checkBlockingWait(pass, n)
 			}
 			if call, ok := n.(*ast.CallExpr); ok {
@@ -75,47 +47,14 @@ func runTokenhold(pass *Pass) error {
 	return nil
 }
 
-// lentSpan is the source extent of a function literal passed to runner.Lend.
-type lentSpan struct{ pos, end token.Pos }
-
-func inLentSpan(spans []lentSpan, n ast.Node) bool {
-	if n == nil || len(spans) == 0 {
-		return false
-	}
-	p := n.Pos()
-	for _, s := range spans {
-		if s.pos <= p && p < s.end {
-			return true
-		}
-	}
-	return false
-}
-
-// isRunnerLend reports whether fun denotes runner.Lend — as a selector from
-// an importing package or as a bare identifier inside the runner package
-// itself.
-func isRunnerLend(pass *Pass, fun ast.Expr) bool {
-	var obj types.Object
-	switch e := ast.Unparen(fun).(type) {
-	case *ast.SelectorExpr:
-		obj = pass.TypesInfo.Uses[e.Sel]
-	case *ast.Ident:
-		obj = pass.TypesInfo.Uses[e]
-	default:
-		return false
-	}
-	fn, ok := obj.(*types.Func)
-	return ok && fn.Name() == "Lend" && fn.Pkg() != nil && fn.Pkg().Path() == RunnerPackage
-}
-
 // checkBlockingWait flags operations that park the current goroutine — and
-// any budget token it holds — until another goroutine acts.
+// the pool worker it may be — until another goroutine acts.
 func checkBlockingWait(pass *Pass, n ast.Node) {
 	switch n := n.(type) {
 	case *ast.UnaryExpr:
 		if n.Op == token.ARROW {
 			pass.Reportf(n.Pos(),
-				"blocking channel receive on the worker-budget path: a goroutine parked here idles any budget token it holds")
+				"blocking channel receive on the worker-pool path: a goroutine parked here idles the pool worker it may be")
 		}
 	case *ast.SelectStmt:
 		for _, clause := range n.Body.List {
@@ -124,13 +63,13 @@ func checkBlockingWait(pass *Pass, n ast.Node) {
 			}
 		}
 		pass.Reportf(n.Pos(),
-			"select without default blocks on the worker-budget path: a goroutine parked here idles any budget token it holds")
+			"select without default blocks on the worker-pool path: a goroutine parked here idles the pool worker it may be")
 	case *ast.CallExpr:
 		if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
 			if obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok &&
 				obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
 				pass.Reportf(n.Pos(),
-					"sync %s blocks on the worker-budget path: a goroutine parked here idles any budget token it holds",
+					"sync %s blocks on the worker-pool path: a goroutine parked here idles the pool worker it may be",
 					types.ExprString(n.Fun))
 			}
 		}
@@ -190,12 +129,12 @@ func checkWorkerCallbacks(pass *Pass, outer string, call *ast.CallExpr) {
 			case *ast.CallExpr:
 				if name, ok := runnerFanout(pass, n.Fun); ok {
 					pass.Reportf(n.Pos(),
-						"runner.%s re-entered from inside a runner.%s worker callback: the callback's goroutine holds a budget token while the nested fan-out waits (ROADMAP: lend-the-token protocol)",
+						"runner.%s re-entered from inside a runner.%s worker callback: the callback's pool worker idles while the nested fan-out waits",
 						name, outer)
 				}
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
-					"goroutine launched from inside a runner.%s worker callback escapes the worker budget: it runs unaccounted alongside the budgeted workers", outer)
+					"goroutine launched from inside a runner.%s worker callback escapes the worker budget: it runs unaccounted alongside the pool workers", outer)
 			}
 			return true
 		})

@@ -14,9 +14,7 @@ import (
 // A Phase is one segment of a simulation cell's execution path. The six
 // phases partition (almost all of) a cell's wall time:
 //
-//	cache-lookup  consulting the result cache's memory/disk/remote tiers —
-//	              for a singleflight-deduplicated cell, the wait on the
-//	              winner's computation
+//	cache-lookup  consulting the result cache's memory/disk/remote tiers
 //	pool-acquire  instance-pool bookkeeping (lock, idle-list scan)
 //	build         constructing a workload instance (DAG + data generation)
 //	reset         restoring a pooled instance to its build-time bytes
@@ -95,7 +93,7 @@ func (sp *Span) SetKey(key string) {
 }
 
 // SetOutcome records how the cell was resolved: "mem-hit", "disk-hit",
-// "remote-hit", "dedup", "computed", or "uncached" (computed with no cache
+// "remote-hit", "computed", or "uncached" (computed with no cache
 // attached).
 func (sp *Span) SetOutcome(outcome string) {
 	if sp != nil {

@@ -336,6 +336,6 @@ func (r *remote) close() {
 		close(r.queue)
 	}
 	r.mu.Unlock()
-	//repro:allow tokenhold shutdown drain on the CLI main goroutine via Store.Close, after every Stream has returned — no budget token is held here
+	//repro:allow tokenhold shutdown drain on the CLI main goroutine via Store.Close, after every Stream has returned — never a pool worker
 	r.wg.Wait()
 }

@@ -10,10 +10,10 @@
 // to an uncached run: a cached Run is the same record the simulator produced,
 // round-tripped losslessly.
 //
-// The store is three-tier with a singleflight layer in front:
+// The store is three-tier:
 //
-//   - memory: a map keyed by fingerprint, deduplicating within one process
-//     (intra-sweep reuse, e.g. fig1-misses then fig1-speedup).
+//   - memory: a map keyed by fingerprint, reusing results within one
+//     process (e.g. overlapping grids, or repeated sweepd jobs).
 //   - disk: one JSON record per key under DIR/v<schema>-<shape>/ (shape is
 //     a hash of metrics.Run's field list), written to a temp file and
 //     atomically renamed, so readers never observe a torn entry and
@@ -24,10 +24,11 @@
 //     Reads are read-through with local fill; computed cells are written
 //     back asynchronously; any failure degrades the tier to a miss — a dead
 //     server never fails a sweep. See remote.go and server.go.
-//   - singleflight: concurrent Do calls with the same key run the compute
-//     function once; latecomers block on the first caller's result. Under
-//     `sweep -exp all` the fig1-misses and fig1-speedup experiments race to
-//     the same 14 cells — one simulates, the other waits.
+//
+// The store does not merge concurrent Do calls for one key: exp runs a sweep
+// as one deduplicated plan, so it never asks for a key twice at once. A
+// library caller that does simply simulates the cell twice; both calls
+// compute the same bytes, and disk writes go through temp+rename.
 //
 // Keys are salted with SchemaVersion. Bump it whenever the meaning of a
 // record changes (simulator semantics, metrics fields, fingerprint format):
@@ -51,7 +52,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/runner"
 	"repro/internal/workloads"
 )
 
@@ -118,7 +118,6 @@ type Stats struct {
 	DiskHits     int64 // served from the persistent layer
 	RemoteHits   int64 // served by the remote tier (and filled locally)
 	Misses       int64 // computed by the caller's function
-	Dedup        int64 // blocked on an identical in-flight computation
 	Stores       int64 // records written to disk
 	Corrupt      int64 // unreadable or mismatched disk records discarded
 	RemoteStores int64 // write-backs acknowledged by remote servers (fleet total)
@@ -142,15 +141,15 @@ type ShardStats struct {
 }
 
 // Lookups returns the total number of Do calls observed.
-func (s Stats) Lookups() int64 { return s.MemHits + s.DiskHits + s.RemoteHits + s.Misses + s.Dedup }
+func (s Stats) Lookups() int64 { return s.MemHits + s.DiskHits + s.RemoteHits + s.Misses }
 
 // Hits returns the lookups that avoided a fresh simulation.
-func (s Stats) Hits() int64 { return s.MemHits + s.DiskHits + s.RemoteHits + s.Dedup }
+func (s Stats) Hits() int64 { return s.MemHits + s.DiskHits + s.RemoteHits }
 
-// String renders the summary cmd/sweep prints to stderr. The first line —
-// its shape unchanged since PR 4 — is what the CI warm-cache smoke and
-// shared-cache-e2e jobs assert on; remote=N in the hits breakdown is the
-// warmth that arrived over the wire. With more than one shard attached, one
+// String renders the summary cmd/sweep prints to stderr. The first line is
+// what the CI warm-cache smoke and shared-cache-e2e jobs assert on, field by
+// field name; remote=N in the hits breakdown is the warmth that arrived over
+// the wire. With more than one shard attached, one
 // `rcache-shard[i]:` line per server follows, so fleet jobs can assert on
 // per-shard counters (e.g. `grep -c latched=true`).
 func (s Stats) String() string {
@@ -158,8 +157,8 @@ func (s Stats) String() string {
 	if n := s.Lookups(); n > 0 {
 		rate = 100 * float64(s.Hits()) / float64(n)
 	}
-	out := fmt.Sprintf("rcache: lookups=%d hits=%d (mem=%d disk=%d remote=%d) misses=%d inflight-dedup=%d stores=%d corrupt=%d remote-stores=%d remote-errs=%d hit-rate=%.1f%%",
-		s.Lookups(), s.Hits(), s.MemHits, s.DiskHits, s.RemoteHits, s.Misses, s.Dedup, s.Stores, s.Corrupt, s.RemoteStores, s.RemoteErrs, rate)
+	out := fmt.Sprintf("rcache: lookups=%d hits=%d (mem=%d disk=%d remote=%d) misses=%d stores=%d corrupt=%d remote-stores=%d remote-errs=%d hit-rate=%.1f%%",
+		s.Lookups(), s.Hits(), s.MemHits, s.DiskHits, s.RemoteHits, s.Misses, s.Stores, s.Corrupt, s.RemoteStores, s.RemoteErrs, rate)
 	if len(s.Shards) > 1 {
 		var b strings.Builder
 		b.WriteString(out)
@@ -172,32 +171,24 @@ func (s Stats) String() string {
 	return out
 }
 
-// Store is a two-tier (memory + optional disk) memoization table with
-// singleflight deduplication. The zero value is not usable; construct with
-// NewMemory or Open. All methods are safe for concurrent use.
+// Store is a memoization table: memory, plus optional disk and remote
+// tiers. The zero value is not usable; construct with NewMemory or Open.
+// All methods are safe for concurrent use.
 type Store struct {
 	dir      string  // version directory; "" = memory-only
 	readonly bool    // consult disk/remote but never write either
 	remote   *remote // optional networked tier; nil = local-only
 
-	mu       sync.Mutex
-	mem      map[Key]metrics.Run
-	inflight map[Key]*flight
+	mu  sync.Mutex
+	mem map[Key]metrics.Run
 
-	memHits, diskHits, remoteHits, misses, dedup, stores, corrupt atomic.Int64
+	memHits, diskHits, remoteHits, misses, stores, corrupt atomic.Int64
 }
 
-// flight is one in-progress computation; waiters block on done.
-type flight struct {
-	done chan struct{}
-	run  metrics.Run
-	err  error
-}
-
-// NewMemory returns a store with no persistent layer: intra-process
-// deduplication and singleflight only.
+// NewMemory returns a store with no persistent layer: in-process
+// memoization only.
 func NewMemory() *Store {
-	return &Store{mem: map[Key]metrics.Run{}, inflight: map[Key]*flight{}}
+	return &Store{mem: map[Key]metrics.Run{}}
 }
 
 // Open returns a store backed by dir, creating the current schema-version
@@ -262,7 +253,6 @@ func (s *Store) Stats() Stats {
 		DiskHits:   s.diskHits.Load(),
 		RemoteHits: s.remoteHits.Load(),
 		Misses:     s.misses.Load(),
-		Dedup:      s.dedup.Load(),
 		Stores:     s.stores.Load(),
 		Corrupt:    s.corrupt.Load(),
 	}
@@ -279,11 +269,10 @@ func (s *Store) Stats() Stats {
 // exposition names. Remote-tier counters register only when a remote is
 // attached; call after AttachRemote.
 func (s *Store) RegisterMetrics(r *obs.Registry) {
-	const hitsHelp = "lookups served without a fresh simulation, by tier (dedup = singleflight wait)"
+	const hitsHelp = "lookups served without a fresh simulation, by tier"
 	r.CounterFunc("rcache_hits_total", `tier="mem"`, hitsHelp, s.memHits.Load)
 	r.CounterFunc("rcache_hits_total", `tier="disk"`, hitsHelp, s.diskHits.Load)
 	r.CounterFunc("rcache_hits_total", `tier="remote"`, hitsHelp, s.remoteHits.Load)
-	r.CounterFunc("rcache_hits_total", `tier="dedup"`, hitsHelp, s.dedup.Load)
 	r.CounterFunc("rcache_misses_total", "", "lookups resolved by computing the cell", s.misses.Load)
 	r.CounterFunc("rcache_stores_total", "", "records written to the local disk tier", s.stores.Load)
 	r.CounterFunc("rcache_corrupt_total", "", "unreadable or mismatched disk records discarded", s.corrupt.Load)
@@ -308,59 +297,38 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 	}
 }
 
-// Do returns the cached Run for key, or runs compute once — however many
-// goroutines ask concurrently — and caches its result. Errors are returned
-// to every waiter of that flight and are not cached, so a failed cell is
-// recomputed on the next request.
+// Do returns the cached Run for key, or runs compute and caches its result.
+// Errors are returned and not cached, so a failed cell is recomputed on the
+// next request.
 func (s *Store) Do(key Key, compute func() (metrics.Run, error)) (metrics.Run, error) {
 	return s.DoSpan(key, nil, compute)
 }
 
 // DoSpan is Do with an optional cell span (nil is Do exactly). Tier
-// consultation is timed into the span's cache-lookup phase — for a
-// singleflight waiter that is the whole wait on the winner's computation —
-// persistence of a computed or read-through record into its store phase, and
+// consultation is timed into the span's cache-lookup phase, persistence of a computed or read-through record into its store phase, and
 // the resolving tier is recorded as the span's outcome: "mem-hit",
-// "disk-hit", "remote-hit", "dedup", or "computed". The span never
+// "disk-hit", "remote-hit", or "computed". The span never
 // influences what Do returns; it only observes.
 func (s *Store) DoSpan(key Key, sp *obs.Span, compute func() (metrics.Run, error)) (metrics.Run, error) {
 	sp.SetKey(key.String())
 	endLookup := sp.StartPhase(obs.PhaseCacheLookup)
 	s.mu.Lock()
-	if r, ok := s.mem[key]; ok {
-		s.mu.Unlock()
+	r, ok := s.mem[key]
+	s.mu.Unlock()
+	endLookup()
+	if ok {
 		s.memHits.Add(1)
-		endLookup()
 		sp.SetOutcome("mem-hit")
 		return r, nil
 	}
-	if f, ok := s.inflight[key]; ok {
+
+	r, err := s.fill(key, sp, compute)
+	if err == nil {
+		s.mu.Lock()
+		s.mem[key] = r
 		s.mu.Unlock()
-		s.dedup.Add(1)
-		// A singleflight waiter lends its worker-budget token back to the
-		// pool while parked on the winning flight, so the core it was
-		// entitled to computes other cells instead of idling behind a
-		// duplicate key.
-		runner.Lend(func() { <-f.done })
-		endLookup()
-		sp.SetOutcome("dedup")
-		return f.run, f.err
 	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[key] = f
-	s.mu.Unlock()
-	endLookup()
-
-	f.run, f.err = s.fill(key, sp, compute)
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if f.err == nil {
-		s.mem[key] = f.run
-	}
-	s.mu.Unlock()
-	close(f.done)
-	return f.run, f.err
+	return r, err
 }
 
 // fill resolves a memory miss in tier order: disk, remote, then the compute

@@ -6,23 +6,17 @@
 // fan out across host cores and still produce bit-identical results; only
 // the order in which cells *complete* varies between runs. The runner hides
 // that nondeterminism: results are always delivered in the order cells were
-// submitted, never the order they finished, so every consumer (cmd/sweep,
-// the sweepd job service via exp.RunGridStream, the exp tests, the
-// benchmark harness) emits byte-identical output at any parallelism level.
+// submitted, never the order they finished, so every consumer (cmd/sweep
+// and the sweepd job service via exp's plan, the exp tests, the benchmark
+// harness) emits byte-identical output at any parallelism level.
 //
-// # Worker budget
+// # Worker cap
 //
-// All Stream/Map calls in the process share one worker budget (default
-// GOMAXPROCS; cmd/sweep sets it to -parallel via SetBudget). Each call
-// claims workers from the budget non-blockingly: a call that finds the
-// budget exhausted — typically a per-experiment cell fan-out nested inside
-// cmd/sweep's experiment-level fan-out — degrades to serial execution on its
-// caller's goroutine instead of spawning more workers, re-polling the budget
-// between jobs so it promotes back to workers once siblings release tokens.
-// Nested fan-outs therefore compose without oversubscription (no N²
-// goroutines at -parallel N) and without deadlock: budget tokens are only
-// ever try-acquired, never waited on, and every Stream either holds at
-// least one worker or runs inline, so progress is always local.
+// SetBudget caps the workers any one Stream/Map call runs (default
+// GOMAXPROCS; cmd/sweep sets it to -parallel). Fan-outs are never nested —
+// exp runs a whole sweep as one flat plan, and reprolint's tokenhold
+// analyzer rejects a Stream or Map inside a worker callback — so the cap on
+// one call is the cap on the process.
 package runner
 
 import (
@@ -36,55 +30,28 @@ import (
 // cell.
 type Job[T any] func() (T, error)
 
-// budget is the process-wide cap on concurrently executing workers, shared
-// by every Stream/Map call. Tokens are try-acquired (never blocked on), so
-// nested fan-outs cannot deadlock; they serialize instead.
-var budget = func() *semaphore {
-	s := &semaphore{}
-	s.cap.Store(int64(runtime.GOMAXPROCS(0)))
-	return s
+// budget is the cap on the workers one Stream/Map call runs.
+var budget = func() *atomic.Int64 {
+	var b atomic.Int64
+	b.Store(int64(runtime.GOMAXPROCS(0)))
+	return &b
 }()
 
-type semaphore struct {
-	cap   atomic.Int64
-	inuse atomic.Int64
-}
-
-func (s *semaphore) tryAcquire() bool {
-	for {
-		u := s.inuse.Load()
-		if u >= s.cap.Load() {
-			return false
-		}
-		if s.inuse.CompareAndSwap(u, u+1) {
-			return true
-		}
-	}
-}
-
-func (s *semaphore) release() { s.inuse.Add(-1) }
-
-// SetBudget caps the process-wide number of concurrently executing workers
-// at n (floored at 1) and returns the previous cap, so callers can restore
-// it. cmd/sweep sets this to -parallel: the experiment-level fan-out and
-// every per-experiment cell fan-out then share the same N workers instead of
-// multiplying into ~N² goroutines. A Stream that finds the budget exhausted
-// runs its jobs serially on the calling goroutine, so shrinking the budget
-// never strands work.
+// SetBudget caps the number of workers a Stream/Map call runs at n (floored
+// at 1) and returns the previous cap, so callers can restore it. cmd/sweep
+// sets this to -parallel.
 func SetBudget(n int) int {
 	if n < 1 {
 		n = 1
 	}
-	return int(budget.cap.Swap(int64(n)))
+	return int(budget.Swap(int64(n)))
 }
 
-// Stream executes jobs on workers drawn from the shared budget (at most
-// parallel of them) and calls yield exactly once per job, in submit order,
-// as soon as the job and all of its predecessors have completed.
-// parallel <= 0 means GOMAXPROCS; parallel == 1 runs every job inline on
-// the caller's goroutine (the serial path: no goroutines, no channels). A
-// fully claimed budget also starts inline, but re-polls between jobs and
-// promotes the remainder to workers as tokens free up.
+// Stream executes jobs on min(parallel, SetBudget's cap, len(jobs)) workers
+// and calls yield exactly once per job, in submit order, as soon as the job
+// and all of its predecessors have completed. parallel <= 0 means
+// GOMAXPROCS; a single worker runs every job inline on the caller's
+// goroutine (the serial path: no goroutines, no channels).
 //
 // yield receives the job's index, value, and error. If yield returns a
 // non-nil error, no further jobs are started and no further yields happen;
@@ -98,15 +65,12 @@ func Stream[T any](parallel int, jobs []Job[T], yield func(i int, v T, err error
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	if parallel > n {
-		parallel = n
-	}
+	parallel = min(parallel, int(budget.Load()), n)
 	// Every job is queued up front; each execution path below drains the
 	// gauge exactly once per index — claimed and run, claimed and
 	// cancel-filled, or abandoned after a yield error.
 	queued.Add(int64(n))
 	if parallel == 1 {
-		// Explicitly serial: no goroutines, no channels, no budget polls.
 		for i, job := range jobs {
 			claimJob()
 			v, err := job()
@@ -118,54 +82,12 @@ func Stream[T any](parallel int, jobs []Job[T], yield func(i int, v T, err error
 		}
 		return nil
 	}
-	workers := 0
-	for w := 0; w < parallel && budget.tryAcquire(); w++ {
-		workers++
-	}
-	if workers > 0 {
-		return streamWorkers(workers, parallel, jobs, yield)
-	}
-	// Every budget token is held elsewhere (we are nested inside another
-	// fan-out that claimed them). Run inline, but re-poll the budget before
-	// each job: when sibling fan-outs wind down and release tokens, the
-	// remainder of this stream promotes to real workers instead of
-	// finishing serially on idle hardware. The freshly acquired token is
-	// kept and handed to the worker pool, so the promotion cannot be lost
-	// to another stream in between.
-	for i := 0; i < n; i++ {
-		if budget.tryAcquire() {
-			rest, base := jobs[i:], i
-			w, limit := 1, parallel
-			if limit > len(rest) {
-				limit = len(rest)
-			}
-			for w < limit && budget.tryAcquire() {
-				w++
-			}
-			return streamWorkers(w, limit, rest, func(j int, v T, err error) error {
-				return yield(base+j, v, err)
-			})
-		}
-		claimJob()
-		v, err := jobs[i]()
-		finishJob()
-		if yerr := yield(i, v, err); yerr != nil {
-			abandonJobs(n - i - 1)
-			return yerr
-		}
-	}
-	return nil
+	return streamWorkers(parallel, jobs, yield)
 }
 
 // streamWorkers is Stream's fan-out engine: it runs jobs on worker
-// goroutines — the caller must already hold `workers` budget tokens, which
-// the workers release as they exit — and yields results in submit order.
-// A stream that started with fewer than limit workers tops itself up:
-// before each job claim a worker re-polls the budget and spawns a
-// reinforcement when a token has freed (a sibling fan-out winding down), so
-// a long cell grid that began on a starved budget does not stay starved
-// after the rest of the sweep finishes.
-func streamWorkers[T any](workers, limit int, jobs []Job[T], yield func(i int, v T, err error) error) error {
+// goroutines and yields results in submit order on the caller's goroutine.
+func streamWorkers[T any](workers int, jobs []Job[T], yield func(i int, v T, err error) error) error {
 	n := len(jobs)
 
 	type result struct {
@@ -182,81 +104,49 @@ func streamWorkers[T any](workers, limit int, jobs []Job[T], yield func(i int, v
 	var (
 		next      atomic.Int64 // next job index to claim
 		cancelled atomic.Bool  // set once yield fails; stops new work
-		active    atomic.Int64 // live workers, capped at limit
 		wg        sync.WaitGroup
 	)
-	active.Store(int64(workers))
-	var worker func()
-	worker = func() {
-		// Register as a token holder for the lend protocol (lend.go): a job
-		// that parks on a singleflight or a nested drain may give this
-		// worker's token back to the pool for the wait. Deregistration runs
-		// before the deferred release, so the goroutine is never registered
-		// without a token.
-		id := goid()
-		registerHolder(id)
-		defer wg.Done()
-		defer budget.release()
-		defer unregisterHolder(id)
-		defer active.Add(-1)
-		for {
-			// Top up: if under the cap with jobs still unclaimed and a
-			// budget token free, enlist another worker. The count is
-			// reserved before the token so two racers cannot both pass the
-			// cap; either reservation that fails is rolled back.
-			if !cancelled.Load() && int(next.Load()) < n-1 {
-				if a := active.Add(1); int(a) <= limit && budget.tryAcquire() {
-					wg.Add(1)
-					go worker()
-				} else {
-					active.Add(-1)
-				}
-			}
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if cancelled.Load() {
-				skipJob()
-				// Still fill the slot so the drain below never blocks.
-				slots[i] <- result{}
-				continue
-			}
-			claimJob()
-			v, err := jobs[i]()
-			finishJob()
-			slots[i] <- result{v, err}
-		}
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go worker()
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if cancelled.Load() {
+					skipJob()
+					// Still fill the slot so the drain below never blocks.
+					slots[i] <- result{}
+					continue
+				}
+				claimJob()
+				v, err := jobs[i]()
+				finishJob()
+				slots[i] <- result{v, err}
+			}
+		}()
 	}
 
-	// A nested Stream's caller reaches this drain while holding the token
-	// its parent fan-out gave it; Lend returns that token to the pool for
-	// the duration (the pool's own top-up logic can then claim it for a
-	// reinforcement worker), and reacquires it before the stream returns.
-	// For a top-level caller with no token, Lend is a plain call.
 	var yerr error
-	Lend(func() {
-		for i := 0; i < n; i++ {
-			r := <-slots[i]
-			if yerr != nil {
-				continue // draining only
-			}
-			if yerr = yield(i, r.v, r.err); yerr != nil {
-				cancelled.Store(true)
-			}
+	for i := 0; i < n; i++ {
+		//repro:allow tokenhold result drain on Stream's caller, which is never a pool worker: the fan-out rule forbids Stream inside a worker callback
+		r := <-slots[i]
+		if yerr != nil {
+			continue // draining only
 		}
-	})
-	//repro:allow tokenhold bounded drain: every slot has been received, so all workers are past their last job and exiting; the wait is O(defer) and releases the tokens
+		if yerr = yield(i, r.v, r.err); yerr != nil {
+			cancelled.Store(true)
+		}
+	}
+	//repro:allow tokenhold bounded drain: every slot has been received, so all workers are past their last job and exiting
 	wg.Wait()
 	return yerr
 }
 
-// Map executes jobs on up to parallel budget workers and returns their
-// results in submit order. The first job error (by submit order, which is
+// Map executes jobs on up to parallel workers and returns their results in
+// submit order. The first job error (by submit order, which is
 // deterministic regardless of completion order) aborts the pool: unstarted
 // jobs are skipped, in-flight jobs drain, and Map returns that error with a
 // nil slice.

@@ -206,189 +206,8 @@ func trackConcurrency[T any](jobs []Job[T]) ([]Job[T], func() int64) {
 	return wrapped, peak.Load
 }
 
-// TestBudgetBoundsNestedFanout is the oversubscription regression test:
-// an experiment-level fan-out whose jobs each fan out again must execute at
-// most SetBudget(n) leaf jobs concurrently — not outer×inner — and must
-// complete (nested fan-outs degrade to serial instead of deadlocking when
-// the outer level holds every token).
-func TestBudgetBoundsNestedFanout(t *testing.T) {
-	const cap = 3
-	defer SetBudget(SetBudget(cap))
-
-	leaf := func() []Job[int] {
-		jobs := make([]Job[int], 6)
-		for i := range jobs {
-			jobs[i] = func() (int, error) {
-				time.Sleep(time.Millisecond)
-				return i, nil
-			}
-		}
-		return jobs
-	}
-	var peaks []func() int64
-	outer := make([]Job[int], 4)
-	for i := range outer {
-		jobs, peak := trackConcurrency(leaf())
-		peaks = append(peaks, peak)
-		outer[i] = func() (int, error) {
-			out, err := Map(8, jobs)
-			if err != nil {
-				return 0, err
-			}
-			sum := 0
-			for _, v := range out {
-				sum += v
-			}
-			return sum, nil
-		}
-	}
-	out, err := Map(8, outer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != 15 {
-			t.Fatalf("outer[%d] = %d, want 15: nested results corrupted", i, v)
-		}
-	}
-	var total int64
-	for _, peak := range peaks {
-		total += peak()
-	}
-	// Each inner fan-out's peak is bounded by the whole-process budget; the
-	// sum across simultaneous inner fan-outs can still exceed it only if
-	// tokens were over-issued. With 4 outer workers capped at 3 tokens, at
-	// most 3 leaves execute at once anywhere, so no single peak may pass 3.
-	for i, peak := range peaks {
-		if p := peak(); p > cap {
-			t.Fatalf("inner fan-out %d reached concurrency %d > budget %d", i, p, cap)
-		}
-	}
-	if total == 0 {
-		t.Fatal("concurrency tracking recorded nothing")
-	}
-}
-
-// TestBudgetPromotionAfterRelease: a stream that started on an exhausted
-// budget must pick up workers once the holders release their tokens — the
-// sweep-tail case where one long experiment should not stay serial while
-// freed cores idle.
-func TestBudgetPromotionAfterRelease(t *testing.T) {
-	defer SetBudget(SetBudget(2))
-
-	holderDone := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		defer close(holderDone)
-		// Claims both tokens and holds them until released.
-		_, err := Map(2, []Job[int]{
-			func() (int, error) { <-release; return 0, nil },
-			func() (int, error) { <-release; return 0, nil },
-		})
-		if err != nil {
-			t.Error(err)
-		}
-	}()
-	// Wait until the holder owns the whole budget, so the stream under test
-	// deterministically starts on the inline path.
-	for budget.inuse.Load() != 2 {
-		runtime.Gosched()
-	}
-
-	jobs := make([]Job[int], 10)
-	for i := range jobs {
-		jobs[i] = func() (int, error) {
-			if i == 0 {
-				// First job frees the budget and waits for the holder to
-				// hand its tokens back, so the remaining nine jobs see an
-				// open budget on the next poll.
-				close(release)
-				<-holderDone
-			}
-			time.Sleep(10 * time.Millisecond)
-			return i, nil
-		}
-	}
-	tracked, peak := trackConcurrency(jobs)
-	out, err := Map(4, tracked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("promotion broke submit order: %v", out)
-		}
-	}
-	if p := peak(); p < 2 {
-		t.Fatalf("stream never promoted to workers after tokens freed (peak concurrency %d)", p)
-	}
-	if p := peak(); p > 2 {
-		t.Fatalf("promotion exceeded the budget (peak concurrency %d)", p)
-	}
-}
-
-// TestWorkerTopUpAfterRelease: a stream that started with fewer workers
-// than requested (budget partially held elsewhere) must enlist more as
-// tokens free up, instead of running its whole job list understaffed.
-func TestWorkerTopUpAfterRelease(t *testing.T) {
-	defer SetBudget(SetBudget(2))
-	if !budget.tryAcquire() { // hold 1 of the 2 tokens
-		t.Fatal("could not take the setup token")
-	}
-	released := false
-	jobs := make([]Job[int], 12)
-	for i := range jobs {
-		jobs[i] = func() (int, error) {
-			if i == 0 {
-				// First job hands the held token back: from here on the
-				// stream should grow from one worker to two.
-				released = true
-				budget.release()
-			}
-			time.Sleep(10 * time.Millisecond)
-			return i, nil
-		}
-	}
-	tracked, peak := trackConcurrency(jobs)
-	out, err := Map(4, tracked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !released {
-		budget.release() // keep the budget balanced even on assertion failure
-	}
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("top-up broke submit order: %v", out)
-		}
-	}
-	if p := peak(); p < 2 {
-		t.Fatalf("stream never topped up after a token freed (peak concurrency %d)", p)
-	}
-	if p := peak(); p > 2 {
-		t.Fatalf("top-up exceeded the budget (peak concurrency %d)", p)
-	}
-}
-
-// TestBudgetExhaustedRunsSerial: with a budget of 1, a nested Map finds no
-// tokens and must fall back to in-line execution, preserving order.
-func TestBudgetExhaustedRunsSerial(t *testing.T) {
-	defer SetBudget(SetBudget(1))
-	out, err := Map(4, []Job[[]int]{
-		func() ([]int, error) { return Map(4, jobsReturningIndex(8)) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out[0] {
-		if v != i {
-			t.Fatalf("nested serial fallback broke ordering: %v", out[0])
-		}
-	}
-}
-
-// TestBudgetReleased: workers hand their tokens back, so sequential Stream
-// calls each get the full budget.
+// TestBudgetReleased: SetBudget's cap bounds every Stream's peak
+// concurrency, however many workers the call asks for, on every call.
 func TestBudgetReleased(t *testing.T) {
 	defer SetBudget(SetBudget(2))
 	for round := 0; round < 3; round++ {
